@@ -105,21 +105,10 @@ def _load(args) -> SystemDefinition:
     raise SystemError("one of --example or --file is required")
 
 
-def _verdict_dict(verdict) -> dict:
-    out = {"status": verdict.status}
-    if verdict.witness is not None:
-        out["witness"] = verdict.witness
-    if verdict.points is not None:
-        out["points"] = verdict.points
-    if verdict.tolerance is not None:
-        out["tolerance"] = verdict.tolerance
-    return out
-
-
 def _symmetry_entry(report) -> dict:
     entry = {
         "name": report.symmetry,
-        "theorem1": _verdict_dict(report.verdict_theorem1),
+        "theorem1": report.verdict_theorem1.to_dict(),
         "divergence": {"status": report.divergence_status},
         "theorem4": [v.status for v in report.theorem4_verdicts],
         "direct": [v.status for v in report.direct_invariance_verdicts],
@@ -129,7 +118,7 @@ def _symmetry_entry(report) -> dict:
     if report.integral is not None:
         entry["integral"] = {
             "expr": format_expression(report.integral.expression),
-            "verified": _verdict_dict(report.integral.verified),
+            "verified": report.integral.verified.to_dict(),
         }
     return entry
 
@@ -229,7 +218,7 @@ def cmd_integral(args) -> int:
                 "name": X.name,
                 "integral": {
                     "expr": format_expression(integral.expression),
-                    "verified": _verdict_dict(integral.verified),
+                    "verified": integral.verified.to_dict(),
                 },
             }
         ],
@@ -251,7 +240,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "system": {"n": sys_.n, "hamiltonian": format_expression(sys_.hamiltonian)},
         "expression": format_expression(expr),
-        "verdict": _verdict_dict(verdict),
+        "verdict": verdict.to_dict(),
     }
     _emit(args, payload, [f"{format_expression(expr)}: {verdict.status}"])
     return EXIT_OK if verdict.is_zero else EXIT_FAIL
@@ -337,7 +326,7 @@ def cmd_identity_check(args) -> int:
                 {
                     "index": case.index,
                     "hamiltonian": format_expression(case.system.hamiltonian),
-                    "lemma1": _verdict_dict(case.lemma1),
+                    "lemma1": case.lemma1.to_dict(),
                     "lemma2": [v.status for v in case.lemma2],
                 }
                 for case in report.cases

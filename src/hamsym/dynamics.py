@@ -5,11 +5,12 @@ State layout everywhere is the flat vector (t, q1..qn, p1..pn).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .expressions import TIME, coord, momentum, symbol_info
 from .noether import canonical_equations
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 METHODS = ("rk4", "implicit_midpoint")
+# trajectory rows per array evaluation in drift; bounds the temporaries
+DRIFT_BLOCK = 8192
 
 
 class IntegrationError(SystemError):
@@ -56,7 +59,7 @@ class CompiledFunction:
         try:
             # plain floats so poles raise ZeroDivisionError instead of
             # producing numpy inf silently
-            value = self._fn(float(t), *(float(x) for x in state))
+            (value,) = self._fn(float(t), *(float(x) for x in state))
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise SingularityAbort(f"singular evaluation of {self.expression}: {exc}", t) from None
         if isinstance(value, complex) or not math.isfinite(value):
@@ -64,21 +67,48 @@ class CompiledFunction:
         return float(value)
 
 
+def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = None, array: bool = False):
+    """Bind and check `exprs`, then lambdify them as one cse'd function of
+    (t, q1..qn, p1..pn) returning the tuple of their values. Returns the
+    bound expressions and that function.
+
+    The scalar form runs on Python floats through `math`, so a pole raises
+    ZeroDivisionError, a domain error ValueError, and a fractional power of a
+    negative number gives a complex value. The array form takes whole
+    columns; its namespace holds numpy alone, because modules="numpy" loads
+    far more of numpy and sympy than the printed code uses.
+    """
+    bound = []
+    for e in exprs:
+        e = sp.sympify(sys.bind(e) if sys is not None else e)
+        for s in e.free_symbols:
+            info = symbol_info(s)
+            if info is None:
+                raise SystemError(f"unbound parameter {s} in compiled expression")
+            if info[2] > 0:
+                raise SystemError(f"jet symbol {s} cannot be compiled over the state layout")
+            if info[0] in "qp" and info[1] > n:
+                raise SystemError(f"{s} outside dimension {n}")
+        bound.append(e)
+    args = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
+    if array:
+        fn = sp.lambdify(args, tuple(bound), modules=[{"numpy": np}], printer=NumPyPrinter, cse=True)
+    else:
+        fn = sp.lambdify(args, tuple(bound), modules="math", cse=True)
+    return bound, fn
+
+
+def _finite(values) -> bool:
+    """Whether every value is a finite real number; complex values are not."""
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:
+        return False
+
+
 def compile_expression(e: sp.Expr, n: int, sys: HamiltonianSystem | None = None) -> CompiledFunction:
     """Lambdify over (t, q1..qn, p1..pn); parameters must already be bound."""
-    if sys is not None:
-        e = sys.bind(e)
-    e = sp.sympify(e)
-    args = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
-    for s in e.free_symbols:
-        info = symbol_info(s)
-        if info is None:
-            raise SystemError(f"unbound parameter {s} in compiled expression")
-        if info[2] > 0:
-            raise SystemError(f"jet symbol {s} cannot be compiled over the state layout")
-        if info[0] in "qp" and info[1] > n:
-            raise SystemError(f"{s} outside dimension {n}")
-    fn = sp.lambdify(args, e, modules="math")
+    (e,), fn = _compile((e,), n, sys)
     return CompiledFunction(n=n, expression=e, _fn=fn)
 
 
@@ -117,17 +147,28 @@ class Trajectory:
 
 
 def _rhs_function(sys: HamiltonianSystem):
+    """The canonical right-hand side as one call on a list of floats."""
     qdot, pdot = canonical_equations(sys)
-    compiled = [compile_expression(e, sys.n, sys) for e in (*qdot, *pdot)]
+    _, fn = _compile((*qdot, *pdot), sys.n, sys)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([f(t, y) for f in compiled])
+    def rhs(t: float, y: list[float]) -> tuple[float, ...]:
+        try:
+            k = fn(t, *y)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise SingularityAbort(f"singular evaluation of the canonical equations: {exc}", t) from None
+        if not _finite(k):
+            raise SingularityAbort("non-finite value of the canonical equations", t)
+        return k
 
     return rhs
 
 
 def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
-    """Advance the canonical equations with the configured fixed-step method."""
+    """Advance the canonical equations with the configured fixed-step method.
+
+    The stages run on lists of Python floats, elementwise in the same order
+    of operations as the array expressions they stand for.
+    """
     y = np.asarray(state0, dtype=float)
     if y.shape != (2 * sys.n,):
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
@@ -139,40 +180,44 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
     times = config.t0 + h * np.arange(steps + 1)
     states = np.empty((steps + 1, 2 * sys.n))
     states[0] = y
+    y = y.tolist()
     step = _rk4_increment if config.method == "rk4" else _midpoint_increment
     # compensated (Kahan) accumulation of the state: long runs otherwise
     # accumulate a rounding random walk that masks the methods' conservation
-    carry = np.zeros_like(y)
+    carry = [0.0] * len(y)
     for k in range(steps):
-        t = times[k]
-        increment = step(rhs, t, y, h, config) - carry
-        updated = y + increment
-        carry = (updated - y) - increment
+        t = float(times[k])
+        increment = [d - c for d, c in zip(step(rhs, t, y, h, config), carry)]
+        updated = [a + d for a, d in zip(y, increment)]
+        carry = [(u - a) - d for u, a, d in zip(updated, y, increment)]
         y = updated
-        if not np.all(np.isfinite(y)):
-            raise SingularityAbort("non-finite state", float(t))
+        if not _finite(y):
+            raise SingularityAbort("non-finite state", t)
         states[k + 1] = y
     return Trajectory(times=times, states=states)
 
 
-def _rk4_increment(rhs, t, y, h, config) -> np.ndarray:
+def _rk4_increment(rhs, t, y, h, config) -> list[float]:
+    half = h / 2
     k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + h / 2 * k1)
-    k3 = rhs(t + h / 2, y + h / 2 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    sixth = h / 6
+    return [sixth * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
-def _midpoint_increment(rhs, t, y, h, config) -> np.ndarray:
+def _midpoint_increment(rhs, t, y, h, config) -> list[float]:
     """Implicit midpoint via fixed-point iteration on the stage value."""
-    tm = t + h / 2
+    half = h / 2
+    tm = t + half
     k = rhs(tm, y)
     for _ in range(config.fixed_point_max_iter):
-        k_next = rhs(tm, y + h / 2 * k)
-        delta = float(np.max(np.abs(k_next - k)))
+        k_next = rhs(tm, [a + half * b for a, b in zip(y, k)])
+        delta = max(abs(a - b) for a, b in zip(k_next, k))
         k = k_next
         if delta <= config.fixed_point_tol:
-            return h * k
+            return [h * b for b in k]
     raise IntegrationError(
         f"implicit midpoint did not converge within {config.fixed_point_max_iter} iterations at t={t!r}"
     )
@@ -213,8 +258,7 @@ def drift(
     """
     entries = []
     for integral in integrals:
-        fn = compile_expression(integral.expression, sys.n, sys)
-        values = np.array([fn(t, y) for t, y in zip(trajectory.times, trajectory.states)])
+        values = _values_along(integral.expression, sys, trajectory)
         deltas = values - values[0]
         if modulo is not None:
             deltas = deltas - modulo * np.round(deltas / modulo)
@@ -230,6 +274,33 @@ def drift(
             )
         )
     return DriftReport(entries=tuple(entries))
+
+
+def _values_along(e: sp.Expr, sys: HamiltonianSystem, trajectory: Trajectory) -> np.ndarray:
+    """Values of `e` at every sample, a block of rows at a time.
+
+    A block that raises a floating-point error or gives a complex or
+    non-finite value is evaluated again on the scalar evaluator, which
+    raises SingularityAbort at the first singular sample; the scalar
+    evaluator alone decides whether a sample is singular.
+    """
+    (e,), fn = _compile((e,), sys.n, sys, array=True)
+    times, states = trajectory.times, trajectory.states
+    values = np.empty(len(times))
+    for start in range(0, len(times), DRIFT_BLOCK):
+        rows = slice(start, start + DRIFT_BLOCK)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                (block,) = fn(times[rows], *states[rows].T)
+            clean = not np.iscomplexobj(block) and bool(np.all(np.isfinite(block)))
+        except FloatingPointError:
+            clean = False
+        if clean:
+            values[rows] = block
+        else:
+            scalar = compile_expression(e, sys.n)
+            values[rows] = [scalar(t, y) for t, y in zip(times[rows], states[rows])]
+    return values
 
 
 @dataclass(frozen=True)
@@ -249,15 +320,7 @@ def convergence_order(
 ) -> OrderEstimate:
     """Richardson-style order estimate from drift at h and h/2."""
     report_h = drift(sys, [integral], integrate(sys, state0, config))
-    half = IntegratorConfig(
-        method=config.method,
-        h=config.h / 2,
-        t0=config.t0,
-        t1=config.t1,
-        fixed_point_tol=config.fixed_point_tol,
-        fixed_point_max_iter=config.fixed_point_max_iter,
-    )
-    report_half = drift(sys, [integral], integrate(sys, state0, half))
+    report_half = drift(sys, [integral], integrate(sys, state0, replace(config, h=config.h / 2)))
     d1 = report_h.entries[0].max_abs
     d2 = report_half.entries[0].max_abs
     if d2 <= floor or d1 <= floor:

@@ -35,7 +35,6 @@ __all__ = [
     "jet_order",
     "partial_diff",
     "total_derivative",
-    "substitute",
     "simplify",
     "evaluate",
     "is_zero",
@@ -165,10 +164,6 @@ def total_derivative(e: sp.Expr) -> sp.Expr:
         maker = coord_deriv if kind == "q" else momentum_deriv
         out += maker(index, order + 1) * sp.diff(e, s)
     return out
-
-
-def substitute(e: sp.Expr, mapping: Mapping[sp.Symbol, sp.Expr]) -> sp.Expr:
-    return simplify(sp.sympify(e).subs(mapping, simultaneous=True))
 
 
 def simplify(e: sp.Expr) -> sp.Expr:

@@ -29,7 +29,6 @@ from .expressions import (
     partial_diff,
     sample_point,
     simplify,
-    substitute,
     total_derivative,
 )
 from .systems import (

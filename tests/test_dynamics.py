@@ -7,17 +7,20 @@ import pytest
 import sympy as sp
 
 from hamsym.dynamics import (
+    DRIFT_BLOCK,
     IntegrationError,
     IntegratorConfig,
     SingularityAbort,
+    _rhs_function,
+    _values_along,
     compile_expression,
     convergence_order,
     drift,
     integrate,
 )
-from hamsym.expressions import TIME, coord, evaluate, momentum, sample_point
-from hamsym.noether import first_integral
-from hamsym.systems import FirstIntegral, SystemError
+from hamsym.expressions import FUNCTIONS, TIME, coord, evaluate, momentum, sample_point
+from hamsym.noether import canonical_equations, first_integral
+from hamsym.systems import FirstIntegral, HamiltonianSystem, SystemError
 
 SEED = 42
 
@@ -67,6 +70,23 @@ class TestCompile:
             b = evaluate(expression, point)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
+    @pytest.mark.parametrize("name", ["example1", "kepler3"])
+    def test_fused_rhs_agrees_with_each_equation(self, name, request):
+        system = request.getfixturevalue(name).system
+        n = system.n
+        qdot, pdot = canonical_equations(system)
+        separate = [compile_expression(e, n, system) for e in (*qdot, *pdot)]
+        fused = _rhs_function(system)
+        symbols = [coord(i) for i in range(1, n + 1)] + [momentum(i) for i in range(1, n + 1)]
+        rng = Random(23)
+        for _ in range(100):
+            point = sample_point(symbols, rng)
+            state = [point[s] for s in symbols]
+            t = rng.uniform(-2.0, 2.0)
+            for a, f in zip(fused(t, state), separate):
+                b = f(t, np.array(state))
+                assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
 
 class TestIntegratorConfig:
     def test_bad_step(self):
@@ -109,8 +129,6 @@ class TestIntegrate:
     def test_singularity_abort_reports_time(self):
         # the momentum equation has a domain boundary at q = 0, which this
         # trajectory crosses before t = 2
-        from hamsym.systems import HamiltonianSystem
-
         system = HamiltonianSystem(n=1, hamiltonian=p**2 / 2 + sp.sqrt(q), singularities=(q,))
         config = IntegratorConfig(method="rk4", h=1e-3, t0=0.0, t1=2.0)
         with pytest.raises(SingularityAbort) as info:
@@ -122,6 +140,60 @@ class TestIntegrate:
         a = integrate(oscillator.system, [1.0, 0.0], config)
         b = integrate(oscillator.system, [1.0, 0.0], config)
         assert np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times)
+
+    def test_complex_power_aborts(self):
+        # the momentum equation holds q1**(3/2), which is complex on a
+        # negative float; q1 turns negative before t = 1
+        system = HamiltonianSystem(n=1, hamiltonian=p**2 / 2 + q ** sp.Rational(5, 2))
+        config = IntegratorConfig(method="rk4", h=1e-3, t0=0.0, t1=1.0)
+        with pytest.raises(SingularityAbort) as info:
+            integrate(system, [1.0, -3.0], config)
+        assert 0.0 < info.value.time_reached < 1.0
+
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_matches_per_stage_reference(self, example1, method):
+        config = IntegratorConfig(method=method, h=1e-3, t1=1.0)
+        trajectory = integrate(example1.system, [1.0, 0.0], config)
+        assert np.array_equal(trajectory.states, _reference_states(example1.system, [1.0, 0.0], config))
+
+
+def _reference_states(system, state0, config):
+    """One array per stage and one compiled function per equation, with the
+    same compensated accumulation of the state as `integrate`."""
+    qdot, pdot = canonical_equations(system)
+    compiled = [compile_expression(e, system.n, system) for e in (*qdot, *pdot)]
+
+    def rhs(t, y):
+        return np.array([f(t, y) for f in compiled])
+
+    steps = config.steps
+    h = (config.t1 - config.t0) / steps
+    y = np.array(state0)
+    carry = np.zeros_like(y)
+    states = [y]
+    for k in range(steps):
+        t = config.t0 + h * k
+        if config.method == "rk4":
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            step = h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            stage = rhs(t + h / 2, y)
+            for _ in range(config.fixed_point_max_iter):
+                stage_next = rhs(t + h / 2, y + h / 2 * stage)
+                delta = np.max(np.abs(stage_next - stage))
+                stage = stage_next
+                if delta <= config.fixed_point_tol:
+                    break
+            step = h * stage
+        increment = step - carry
+        updated = y + increment
+        carry = (updated - y) - increment
+        y = updated
+        states.append(y)
+    return np.array(states)
 
 
 class TestDrift:
@@ -178,6 +250,38 @@ class TestDrift:
         )
         assert report.entry("H").series is not None
         assert len(report.entry("H").series) == len(trajectory.times)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_array_values_agree_with_scalar_evaluator(self, oscillator, name):
+        # numpy and math may round differently; a few ulps at most
+        e = FUNCTIONS[name](2 + q * p / 3 + TIME / 5) * p + 1 / (2 - q)
+        config = IntegratorConfig(method="rk4", h=1e-2, t1=1.0)
+        trajectory = integrate(oscillator.system, [1.0, 0.0], config)
+        scalar = compile_expression(e, 1)
+        expected = np.array([scalar(t, y) for t, y in zip(trajectory.times, trajectory.states)])
+        values = _values_along(e, oscillator.system, trajectory)
+        assert np.all(np.abs(values - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    def test_singular_sample_aborts_at_its_time(self, oscillator):
+        # q1 = cos(t) turns negative after pi/2, past the first block of
+        # rows that drift evaluates at once
+        config = IntegratorConfig(method="rk4", h=1e-4, t1=2.0)
+        trajectory = integrate(oscillator.system, [1.0, 0.0], config)
+        root = FirstIntegral("root", sp.sqrt(q))
+        with pytest.raises(SingularityAbort) as info:
+            drift(oscillator.system, [root], trajectory)
+        first_negative = int(np.argmax(trajectory.states[:, 0] < 0))
+        assert first_negative > DRIFT_BLOCK
+        assert info.value.time_reached == trajectory.times[first_negative]
+
+    def test_pole_under_bounded_function_aborts(self, oscillator):
+        # numpy gives arctan(inf) = pi/2 at q1 = 0 without a non-finite
+        # value; the scalar evaluator raises, as a pole should
+        config = IntegratorConfig(method="rk4", h=1e-2, t1=1.0)
+        trajectory = integrate(oscillator.system, [0.0, 1.0], config)
+        with pytest.raises(SingularityAbort) as info:
+            drift(oscillator.system, [FirstIntegral("angle", sp.atan(1 / q))], trajectory)
+        assert info.value.time_reached == 0.0
 
 
 class TestImplicitMidpoint:

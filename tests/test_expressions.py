@@ -24,7 +24,6 @@ from hamsym.expressions import (
     random_polynomial,
     sample_point,
     simplify,
-    substitute,
     total_derivative,
 )
 
@@ -106,17 +105,6 @@ class TestTotalDerivative:
             e2 = random_polynomial([TIME, q, p], 3, rng)
             diff = total_derivative(e1 * e2) - e1 * total_derivative(e2) - e2 * total_derivative(e1)
             assert simplify(diff) == 0
-
-
-class TestSubstitute:
-    def test_exact_cancellation(self):
-        assert substitute(dq - p, {dq: p}) == 0
-
-    def test_on_solution(self):
-        assert substitute(p * dq, {dq: p}) == p**2
-
-    def test_numeric_fold(self):
-        assert substitute(TIME**2 / q**2, {q: sp.Integer(2), TIME: sp.Integer(2)}) == 1
 
 
 class TestSimplify:
