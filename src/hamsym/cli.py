@@ -2,17 +2,18 @@
 integrals, simulate trajectories and monitor conservation drift.
 
 Exit codes: 0 all requested verdicts pass, 1 verdict failure, 2 usage or
-parse error, 3 numeric abort during integration.
+parse error, 3 numeric abort during integration, 4 internal error (with a
+traceback on stderr).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import __version__
 from .dynamics import (
-    IntegrationError,
     IntegratorConfig,
     SingularityAbort,
     drift,
@@ -25,18 +26,17 @@ from .noether import (
     build_report,
     first_integral,
     relation_check,
+    relation_expression,
     verify_first_integral,
 )
 from .parsing import (
     ParseContext,
-    ParseError,
-    SchemaError,
     format_expression,
     parse_expression,
     parse_system_file,
 )
 from .registry import example_names, load_example
-from .systems import FirstIntegral, SystemDefinition, SystemError
+from .systems import FirstIntegral, HamsymError, SystemDefinition
 
 __all__ = ["main"]
 
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_source: bool = True) -> None:
@@ -102,7 +103,19 @@ def _load(args) -> SystemDefinition:
     if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
             return parse_system_file(handle.read())
-    raise SystemError("one of --example or --file is required")
+    raise HamsymError("one of --example or --file is required")
+
+
+def _header(args, sys_=None) -> dict:
+    """The leading keys of every report: version, seed and, given one, the system."""
+    out = {"version": __version__, "seed": args.seed}
+    if sys_ is not None:
+        out["system"] = {"n": sys_.n, "hamiltonian": format_expression(sys_.hamiltonian)}
+    return out
+
+
+def _integral_entry(integral: FirstIntegral) -> dict:
+    return {"expr": format_expression(integral.expression), "verified": integral.verified.to_dict()}
 
 
 def _symmetry_entry(report) -> dict:
@@ -116,10 +129,7 @@ def _symmetry_entry(report) -> dict:
     if report.divergence is not None:
         entry["divergence"]["v"] = format_expression(report.divergence.v)
     if report.integral is not None:
-        entry["integral"] = {
-            "expr": format_expression(report.integral.expression),
-            "verified": report.integral.verified.to_dict(),
-        }
+        entry["integral"] = _integral_entry(report.integral)
     return entry
 
 
@@ -133,17 +143,11 @@ def _system_report(defn: SystemDefinition, args, names=None):
     """Per-symmetry reports plus relation verdicts; returns (json dict,
     InvarianceReport list, all-pass flag)."""
     sys_ = defn.system
-    out = {
-        "version": __version__,
-        "seed": args.seed,
-        "system": {"n": sys_.n, "hamiltonian": format_expression(sys_.hamiltonian)},
-        "symmetries": [],
-        "relations": [],
-    }
+    out = {**_header(args, sys_), "symmetries": [], "relations": []}
     selected = [s for s in defn.symmetries if names is None or s.name in names]
     if names is not None and len(selected) != len(names):
         missing = sorted(set(names) - {s.name for s in selected})
-        raise SystemError(f"unknown symmetry {missing[0]!r}")
+        raise HamsymError(f"unknown symmetry {missing[0]!r}")
     reports = []
     ok = True
     integrals = {}
@@ -155,8 +159,7 @@ def _system_report(defn: SystemDefinition, args, names=None):
         if report.integral is not None:
             integrals[X.name] = report.integral.expression
     for relation in defn.relations:
-        referenced = {s.name for s in relation.expression.free_symbols} - set(sys_.parameters)
-        if not referenced <= set(integrals):
+        if relation_expression(integrals, relation, sys_) is None:
             out["relations"].append({"name": relation.name, "status": "skipped"})
             continue
         verdict = relation_check(integrals, relation, sys_, seed=args.seed, tol=args.tol)
@@ -205,23 +208,13 @@ def cmd_integral(args) -> int:
         )
     except InvarianceError as exc:
         if args.json:
-            print(json.dumps({"version": __version__, "seed": args.seed, "error": str(exc)}, indent=2))
+            print(json.dumps({**_header(args), "error": str(exc)}, indent=2))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     payload = {
-        "version": __version__,
-        "seed": args.seed,
-        "system": {"n": defn.system.n, "hamiltonian": format_expression(defn.system.hamiltonian)},
-        "symmetries": [
-            {
-                "name": X.name,
-                "integral": {
-                    "expr": format_expression(integral.expression),
-                    "verified": integral.verified.to_dict(),
-                },
-            }
-        ],
+        **_header(args, defn.system),
+        "symmetries": [{"name": X.name, "integral": _integral_entry(integral)}],
         "relations": [],
     }
     lines = [f"{X.name}: I = {format_expression(integral.expression)} ({integral.verified.status})"]
@@ -235,13 +228,7 @@ def cmd_verify(args) -> int:
     ctx = ParseContext(n=sys_.n, parameters=frozenset(sys_.parameters), allow_jet=False)
     expr = parse_expression(args.expression, ctx)
     verdict = verify_first_integral(sys_, expr, seed=args.seed, tol=args.tol)
-    payload = {
-        "version": __version__,
-        "seed": args.seed,
-        "system": {"n": sys_.n, "hamiltonian": format_expression(sys_.hamiltonian)},
-        "expression": format_expression(expr),
-        "verdict": verdict.to_dict(),
-    }
+    payload = {**_header(args, sys_), "expression": format_expression(expr), "verdict": verdict.to_dict()}
     _emit(args, payload, [f"{format_expression(expr)}: {verdict.status}"])
     return EXIT_OK if verdict.is_zero else EXIT_FAIL
 
@@ -250,9 +237,9 @@ def _parse_state(raw: str, n: int) -> list[float]:
     try:
         state = [float(part) for part in raw.split(",")]
     except ValueError as exc:
-        raise SystemError(f"bad state component: {exc}") from None
+        raise HamsymError(f"bad state component: {exc}") from None
     if len(state) != 2 * n:
-        raise SystemError(f"state needs {2 * n} components (q1..qn, p1..pn), got {len(state)}")
+        raise HamsymError(f"state needs {2 * n} components (q1..qn, p1..pn), got {len(state)}")
     return state
 
 
@@ -277,12 +264,9 @@ def cmd_simulate(args) -> int:
     # relations evaluate to constants along trajectories too; drift them as
     # synthetic integrals so conserved relations are witnessed numerically
     for relation in defn.relations:
-        referenced = {s.name for s in relation.expression.free_symbols} - set(sys_.parameters)
-        if referenced <= set(named):
-            subs = {s: named[s.name] for s in relation.expression.free_symbols if s.name in named}
-            integrals.append(
-                FirstIntegral(name=relation.name, expression=relation.expression.subs(subs, simultaneous=True))
-            )
+        expression = relation_expression(named, relation, sys_)
+        if expression is not None:
+            integrals.append(FirstIntegral(name=relation.name, expression=expression))
     try:
         trajectory = integrate(sys_, state0, config)
         report = drift(sys_, integrals, trajectory, modulo=args.modulo)
@@ -310,13 +294,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_identity_check(args) -> int:
     if args.n < 1:
-        raise SystemError("--n must be >= 1")
+        raise HamsymError("--n must be >= 1")
     report = identity_check(
         args.n, args.degree, args.count, seed=args.seed, tol=args.tol, corrupt=args.corrupt
     )
     payload = {
-        "version": __version__,
-        "seed": args.seed,
+        **_header(args),
         "identity": {
             "n": report.n,
             "degree": report.degree,
@@ -366,13 +349,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, SchemaError, IntegrationError, SystemError, KeyError, OSError, ValueError) as exc:
-        if isinstance(exc, SingularityAbort):
-            print(f"numeric abort: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        message = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
-        print(f"error: {message}", file=sys.stderr)
+    except SingularityAbort as exc:
+        print(f"numeric abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (HamsymError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault in hamsym itself, never a usage error or a failed verdict
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

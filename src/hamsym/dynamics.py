@@ -14,7 +14,7 @@ from sympy.printing.numpy import NumPyPrinter
 
 from .expressions import TIME, coord, momentum, symbol_info
 from .noether import canonical_equations
-from .systems import FirstIntegral, HamiltonianSystem, SystemError
+from .systems import FirstIntegral, HamiltonianSystem, HamsymError
 
 __all__ = [
     "CompiledFunction",
@@ -35,7 +35,7 @@ METHODS = ("rk4", "implicit_midpoint")
 DRIFT_BLOCK = 8192
 
 
-class IntegrationError(SystemError):
+class IntegrationError(HamsymError):
     pass
 
 
@@ -84,11 +84,11 @@ def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = N
         for s in e.free_symbols:
             info = symbol_info(s)
             if info is None:
-                raise SystemError(f"unbound parameter {s} in compiled expression")
+                raise HamsymError(f"unbound parameter {s} in compiled expression")
             if info[2] > 0:
-                raise SystemError(f"jet symbol {s} cannot be compiled over the state layout")
+                raise HamsymError(f"jet symbol {s} cannot be compiled over the state layout")
             if info[0] in "qp" and info[1] > n:
-                raise SystemError(f"{s} outside dimension {n}")
+                raise HamsymError(f"{s} outside dimension {n}")
         bound.append(e)
     args = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
     if array:

@@ -24,7 +24,7 @@ from .expressions import (
     random_polynomial,
 )
 from .noether import lemma1_residual, lemma2_residuals
-from .systems import HamiltonianSystem, PointSymmetry
+from .systems import HamiltonianSystem, HamsymError, PointSymmetry
 
 __all__ = ["IdentityCase", "IdentityReport", "random_pair", "identity_check"]
 
@@ -117,9 +117,9 @@ def identity_check(
     tests can confirm the checker detects a broken identity.
     """
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise HamsymError("dimension must be >= 1")
     if degree < 0 or count < 1:
-        raise ValueError("degree must be >= 0 and count >= 1")
+        raise HamsymError("degree must be >= 0 and count >= 1")
     rng = Random(derive_seed(seed, f"identity:{n}:{degree}"))
     cases = []
     for index in range(count):

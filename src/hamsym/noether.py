@@ -7,7 +7,9 @@ All verdicts are seeded and deterministic.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import sympy as sp
@@ -37,8 +39,8 @@ from .systems import (
     HamiltonianSystem,
     InvarianceReport,
     PointSymmetry,
+    HamsymError,
     Relation,
-    SystemError,
 )
 
 __all__ = [
@@ -60,18 +62,24 @@ __all__ = [
     "lemma2_residuals",
     "theorem4_conditions",
     "equation_invariance_direct",
+    "relation_expression",
     "relation_check",
     "functional_independence",
     "build_report",
 ]
 
 
-class InvarianceError(SystemError):
+class InvarianceError(HamsymError):
     """Raised when an integral is requested for a non-invariant Hamiltonian."""
 
 
 def _phase_symbols(n: int):
     return [coord(i) for i in range(1, n + 1)], [momentum(i) for i in range(1, n + 1)]
+
+
+def _zero(sys: HamiltonianSystem, e: sp.Expr, label: str, seed: int, tol: float) -> Verdict:
+    """The seeded zero test of e, parameters bound, for the check named label."""
+    return is_zero(sys.bind(e), sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
 def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tuple[sp.Expr, ...]]:
@@ -82,22 +90,27 @@ def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tu
     return qdot, pdot
 
 
+@lru_cache(maxsize=8)
+def _on_shell_maps(sys: HamiltonianSystem) -> tuple[Mapping, Mapping]:
+    """First- and second-order jet substitutions, built once per system and
+    shared read-only by every caller."""
+    qdot, pdot = canonical_equations(sys)
+    first, second = {}, {}
+    for i in range(1, sys.n + 1):
+        first[coord_deriv(i)] = qdot[i - 1]
+        first[momentum_deriv(i)] = pdot[i - 1]
+        second[coord_deriv(i, 2)] = total_derivative(qdot[i - 1])
+        second[momentum_deriv(i, 2)] = total_derivative(pdot[i - 1])
+    return MappingProxyType(first), MappingProxyType(second)
+
+
 def on_shell(sys: HamiltonianSystem, e: sp.Expr) -> sp.Expr:
     """Substitute the canonical equations and their differential consequences
     for all jet symbols; the result is a function of (t, q, p) only."""
     e = sp.sympify(e)
-    qdot, pdot = canonical_equations(sys)
-    order = jet_order(e)
-    if order >= 2:
-        second = {}
-        for i in range(1, sys.n + 1):
-            second[coord_deriv(i, 2)] = total_derivative(qdot[i - 1])
-            second[momentum_deriv(i, 2)] = total_derivative(pdot[i - 1])
+    first, second = _on_shell_maps(sys)
+    if jet_order(e) >= 2:
         e = e.subs(second, simultaneous=True)
-    first = {}
-    for i in range(1, sys.n + 1):
-        first[coord_deriv(i)] = qdot[i - 1]
-        first[momentum_deriv(i)] = pdot[i - 1]
     return simplify(e.subs(first, simultaneous=True))
 
 
@@ -113,7 +126,7 @@ def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Off-shell residual of the action-invariance condition:
     zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi)."""
     if len(X.eta) != sys.n:
-        raise SystemError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
+        raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
     H = sys.hamiltonian
     out = -apply_operator(X, H) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
@@ -121,11 +134,18 @@ def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     return simplify(out)
 
 
+# The public checkers below take (sys, X), build the off-shell residual and
+# hand it to a private core; build_report builds it once and calls the cores.
+
+
 def check_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    residual = sys.bind(on_shell(sys, invariance_residual(sys, X)))
-    return is_zero(residual, sys.bound_singularities, seed=derive_seed(seed, f"theorem1:{X.name}"), tol=tol)
+    return _theorem1(sys, X, on_shell(sys, invariance_residual(sys, X)), seed, tol)
+
+
+def _theorem1(sys, X, residual_on, seed, tol) -> Verdict:
+    return _zero(sys, residual_on, f"theorem1:{X.name}", seed, tol)
 
 
 def _jet_linear_coefficients(sys: HamiltonianSystem, residual: sp.Expr):
@@ -156,7 +176,10 @@ def find_divergence_term(
     definitively) or 'not-synthesizable' (non-polynomial coefficients;
     a caller-supplied V may still verify).
     """
-    residual = invariance_residual(sys, X)
+    return _divergence_term(sys, X, invariance_residual(sys, X), seed, tol)
+
+
+def _divergence_term(sys, X, residual, seed, tol) -> tuple[str, DivergenceTerm | None]:
     if simplify(residual) == 0:
         return "zero", DivergenceTerm(sp.Integer(0), "synthesized")
     decomposition = _jet_linear_coefficients(sys, residual)
@@ -169,12 +192,7 @@ def find_divergence_term(
     for i in range(len(variables)):
         for j in range(i + 1, len(variables)):
             mixed = partial_diff(gradient[i], variables[j]) - partial_diff(gradient[j], variables[i])
-            verdict = is_zero(
-                sys.bind(mixed),
-                sys.bound_singularities,
-                seed=derive_seed(seed, f"integrability:{X.name}:{i}:{j}"),
-                tol=tol,
-            )
+            verdict = _zero(sys, mixed, f"integrability:{X.name}:{i}:{j}", seed, tol)
             if verdict.status == Verdict.NONZERO:
                 return "no-v-exists", None
             if verdict.status == Verdict.INCONCLUSIVE:
@@ -187,13 +205,7 @@ def find_divergence_term(
     for z, g in zip(variables, gradient):
         v += sp.integrate(sp.expand(z * g.subs(scaled, simultaneous=True)), (s, 0, 1))
     v = simplify(v)
-    check = is_zero(
-        sys.bind(residual - total_derivative(v)),
-        sys.bound_singularities,
-        seed=derive_seed(seed, f"divsynth:{X.name}"),
-        tol=tol,
-    )
-    if not check.is_zero:
+    if not _zero(sys, residual - total_derivative(v), f"divsynth:{X.name}", seed, tol).is_zero:
         return "not-synthesizable", None
     return "synthesized", DivergenceTerm(v, "synthesized")
 
@@ -202,14 +214,12 @@ def check_divergence_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
     if jet_order(v) > 0:
-        raise SystemError("divergence term must not contain jet symbols")
-    residual = invariance_residual(sys, X) - total_derivative(v)
-    return is_zero(
-        sys.bind(on_shell(sys, residual)),
-        sys.bound_singularities,
-        seed=derive_seed(seed, f"divergence:{X.name}"),
-        tol=tol,
-    )
+        raise HamsymError("divergence term must not contain jet symbols")
+    return _divergence_verdict(sys, X, invariance_residual(sys, X), v, seed, tol)
+
+
+def _divergence_verdict(sys, X, residual, v, seed, tol) -> Verdict:
+    return _zero(sys, on_shell(sys, residual - total_derivative(v)), f"divergence:{X.name}", seed, tol)
 
 
 def first_integral(
@@ -230,6 +240,11 @@ def first_integral(
         raise InvarianceError(
             f"symmetry {X.name} does not leave the Hamiltonian action invariant ({verdict.status})"
         )
+    return _integral(sys, X, v, seed, tol)
+
+
+def _integral(sys, X, v, seed, tol) -> FirstIntegral:
+    """Construct I = p_i*eta^i - xi*H - V and verify it, without gating."""
     expr = -X.xi * sys.hamiltonian - v
     for i, eta in enumerate(X.eta, start=1):
         expr += momentum(i) * eta
@@ -241,15 +256,14 @@ def verify_first_integral(
     sys: HamiltonianSystem, integral: sp.Expr, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
     if jet_order(integral) > 0:
-        raise SystemError("a first integral must be a function of (t, q, p) only")
-    residual = sys.bind(on_shell(sys, total_derivative(integral)))
-    return is_zero(residual, sys.bound_singularities, seed=derive_seed(seed, "verify-integral"), tol=tol)
+        raise HamsymError("a first integral must be a function of (t, q, p) only")
+    return _zero(sys, on_shell(sys, total_derivative(integral)), "verify-integral", seed, tol)
 
 
 def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: str = "X_I") -> PointSymmetry:
     """The phase-space vector field generated by I: eta = dI/dp, zeta = -dI/dq."""
     if jet_order(integral) > 0:
-        raise SystemError("generating function must not contain jet symbols")
+        raise HamsymError("generating function must not contain jet symbols")
     qs, ps = _phase_symbols(sys.n)
     return PointSymmetry(
         name=name,
@@ -272,15 +286,19 @@ def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry
 def variational_derivative_p(e: sp.Expr, j: int) -> sp.Expr:
     """delta e / delta p_j = de/dp_j - D(de/d(dp_j))."""
     if jet_order(e) > 1:
-        raise SystemError("variational derivative requires jet order <= 1")
+        raise HamsymError("variational derivative requires jet order <= 1")
     return partial_diff(e, momentum(j)) - total_derivative(partial_diff(e, momentum_deriv(j)))
 
 
 def variational_derivative_q(e: sp.Expr, j: int) -> sp.Expr:
     """delta e / delta q^j = de/dq^j - D(de/d(dq_j))."""
     if jet_order(e) > 1:
-        raise SystemError("variational derivative requires jet order <= 1")
+        raise HamsymError("variational derivative requires jet order <= 1")
     return partial_diff(e, coord(j)) - total_derivative(partial_diff(e, coord_deriv(j)))
+
+
+# the two sides of every 2n-tuple, momentum side first
+_SIDES = (("p", variational_derivative_p), ("q", variational_derivative_q))
 
 
 def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
@@ -298,48 +316,45 @@ def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     return simplify(lhs - rhs)
 
 
-def _lemma2_rhs(sys: HamiltonianSystem, X: PointSymmetry, j: int, side: str) -> sp.Expr:
+def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list[sp.Expr]:
+    """X applied to the canonical equations, off-shell: D(eta^j) - dq_j*D(xi)
+    - X(dH/dp_j) for j = 1..n, then D(zeta_j) - dp_j*D(xi) + X(dH/dq^j)."""
     H = sys.hamiltonian
     dxi = total_derivative(X.xi)
-    commutator = total_derivative(H) - partial_diff(H, TIME)
-    if side == "p":
-        w = momentum(j)
-        out = (
-            total_derivative(X.eta[j - 1])
-            - coord_deriv(j) * dxi
-            - apply_operator(X, partial_diff(H, momentum(j)))
-            + partial_diff(X.xi, w) * commutator
-        )
-    else:
-        w = coord(j)
-        out = (
-            -total_derivative(X.zeta[j - 1])
-            + momentum_deriv(j) * dxi
-            - apply_operator(X, partial_diff(H, coord(j)))
-            + partial_diff(X.xi, w) * commutator
-        )
-    for i in range(1, sys.n + 1):
-        delta = sp.Integer(1 if i == j else 0)
-        eq_q = momentum_deriv(i) + partial_diff(H, coord(i))
-        eq_p = coord_deriv(i) - partial_diff(H, momentum(i))
-        if side == "p":
-            out -= partial_diff(X.eta[i - 1], w) * eq_q
-            out += (partial_diff(X.zeta[i - 1], w) + delta * dxi) * eq_p
-        else:
-            out -= (partial_diff(X.eta[i - 1], w) + delta * dxi) * eq_q
-            out += partial_diff(X.zeta[i - 1], w) * eq_p
-    return out
+    p_side = [
+        total_derivative(X.eta[j - 1]) - coord_deriv(j) * dxi - apply_operator(X, partial_diff(H, momentum(j)))
+        for j in range(1, sys.n + 1)
+    ]
+    q_side = [
+        total_derivative(X.zeta[j - 1]) - momentum_deriv(j) * dxi + apply_operator(X, partial_diff(H, coord(j)))
+        for j in range(1, sys.n + 1)
+    ]
+    return p_side + q_side
 
 
 def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr, ...]:
     """Off-shell residuals of the variational-derivative identities,
-    momentum side first (j=1..n), then coordinate side."""
+    momentum side first (j=1..n), then coordinate side. Each right-hand side
+    is +-(the direct condition) plus multiples of the canonical equations."""
+    H = sys.hamiltonian
+    n = sys.n
     residual = invariance_residual(sys, X)
+    conditions = _direct_conditions(sys, X)
+    dxi = total_derivative(X.xi)
+    commutator = total_derivative(H) - partial_diff(H, TIME)
+    eq_q = [momentum_deriv(i) + partial_diff(H, coord(i)) for i in range(1, n + 1)]
+    eq_p = [coord_deriv(i) - partial_diff(H, momentum(i)) for i in range(1, n + 1)]
     out = []
-    for j in range(1, sys.n + 1):
-        out.append(simplify(variational_derivative_p(residual, j) - _lemma2_rhs(sys, X, j, "p")))
-    for j in range(1, sys.n + 1):
-        out.append(simplify(variational_derivative_q(residual, j) - _lemma2_rhs(sys, X, j, "q")))
+    for side, vard in _SIDES:
+        for j in range(1, n + 1):
+            if side == "p":
+                w, rhs = momentum(j), conditions[j - 1] + dxi * eq_p[j - 1]
+            else:
+                w, rhs = coord(j), -conditions[n + j - 1] - dxi * eq_q[j - 1]
+            rhs += partial_diff(X.xi, w) * commutator
+            for i in range(n):
+                rhs += partial_diff(X.zeta[i], w) * eq_p[i] - partial_diff(X.eta[i], w) * eq_q[i]
+            out.append(simplify(vard(residual, j) - rhs))
     return tuple(out)
 
 
@@ -348,20 +363,15 @@ def theorem4_conditions(
 ) -> tuple[Verdict, ...]:
     """On-shell verdicts of the 2n variational-derivative conditions that
     characterize invariance of the canonical equations."""
-    residual = invariance_residual(sys, X)
-    verdicts = []
-    for side, vard in (("p", variational_derivative_p), ("q", variational_derivative_q)):
-        for j in range(1, sys.n + 1):
-            condition = sys.bind(on_shell(sys, vard(residual, j)))
-            verdicts.append(
-                is_zero(
-                    condition,
-                    sys.bound_singularities,
-                    seed=derive_seed(seed, f"theorem4:{X.name}:{side}{j}"),
-                    tol=tol,
-                )
-            )
-    return tuple(verdicts)
+    return _theorem4(sys, X, invariance_residual(sys, X), seed, tol)
+
+
+def _theorem4(sys, X, residual, seed, tol) -> tuple[Verdict, ...]:
+    return tuple(
+        _zero(sys, on_shell(sys, vard(residual, j)), f"theorem4:{X.name}:{side}{j}", seed, tol)
+        for side, vard in _SIDES
+        for j in range(1, sys.n + 1)
+    )
 
 
 def equation_invariance_direct(
@@ -369,30 +379,24 @@ def equation_invariance_direct(
 ) -> tuple[Verdict, ...]:
     """Apply X directly to the canonical equations; 2n on-shell verdicts,
     momentum side first."""
-    H = sys.hamiltonian
-    dxi = total_derivative(X.xi)
-    conditions = []
-    for j in range(1, sys.n + 1):
-        conditions.append(
-            total_derivative(X.eta[j - 1])
-            - coord_deriv(j) * dxi
-            - apply_operator(X, partial_diff(H, momentum(j)))
-        )
-    for j in range(1, sys.n + 1):
-        conditions.append(
-            total_derivative(X.zeta[j - 1])
-            - momentum_deriv(j) * dxi
-            + apply_operator(X, partial_diff(H, coord(j)))
-        )
     return tuple(
-        is_zero(
-            sys.bind(on_shell(sys, condition)),
-            sys.bound_singularities,
-            seed=derive_seed(seed, f"direct:{X.name}:{k}"),
-            tol=tol,
-        )
-        for k, condition in enumerate(conditions)
+        _zero(sys, on_shell(sys, condition), f"direct:{X.name}:{k}", seed, tol)
+        for k, condition in enumerate(_direct_conditions(sys, X))
     )
+
+
+def relation_expression(
+    integrals: Mapping[str, sp.Expr], relation: Relation, sys: HamiltonianSystem
+) -> sp.Expr | None:
+    """The relation's expression with each named integral substituted, or
+    None when it names an integral missing from `integrals`."""
+    subs = {}
+    for s in relation.expression.free_symbols:
+        if s.name in integrals:
+            subs[s] = integrals[s.name]
+        elif s.name not in sys.parameters:
+            return None
+    return relation.expression.subs(subs, simultaneous=True)
 
 
 def relation_check(
@@ -404,20 +408,10 @@ def relation_check(
 ) -> Verdict:
     """Substitute integral expressions into a relation and test it against
     its constant."""
-    parameter_names = set(sys.parameters)
-    subs = {}
-    for s in relation.expression.free_symbols:
-        if s.name in integrals:
-            subs[s] = integrals[s.name]
-        elif s.name not in parameter_names:
-            raise SystemError(f"relation {relation.name} references unknown integral {s.name!r}")
-    e = relation.expression.subs(subs, simultaneous=True) - relation.equals
-    return is_zero(
-        sys.bind(e),
-        sys.bound_singularities,
-        seed=derive_seed(seed, f"relation:{relation.name}"),
-        tol=tol,
-    )
+    e = relation_expression(integrals, relation, sys)
+    if e is None:
+        raise HamsymError(f"relation {relation.name} references an integral not among {sorted(integrals)}")
+    return _zero(sys, e - relation.equals, f"relation:{relation.name}", seed, tol)
 
 
 def _pivoted_rank(rows: list[list[float]], tol: float) -> int:
@@ -451,7 +445,7 @@ def functional_independence(
     """Maximum observed rank of the Jacobian of the integrals with respect
     to (q, p) at random non-singular points."""
     if not integrals:
-        raise SystemError("need at least one integral")
+        raise HamsymError("need at least one integral")
     qs, ps = _phase_symbols(sys.n)
     variables = [*qs, *ps]
     jacobian = [
@@ -484,29 +478,30 @@ def build_report(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> InvarianceReport:
     """Run the full per-symmetry pipeline: Theorem 1, divergence handling,
-    Theorem 4, direct invariance, and integral construction when justified."""
+    Theorem 4, direct invariance, and integral construction when justified.
+    The off-shell residual is built once and read by every check."""
     residual_off = invariance_residual(sys, X)
     residual_on = on_shell(sys, residual_off)
-    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
+    theorem1 = _theorem1(sys, X, residual_on, seed, tol)
 
     divergence: DivergenceTerm | None = None
     divergence_verdict: Verdict | None = None
     if X.v is not None:
         divergence = DivergenceTerm(X.v, "user-supplied")
         divergence_status = "user-supplied"
-        divergence_verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
+        divergence_verdict = _divergence_verdict(sys, X, residual_off, X.v, seed, tol)
     elif theorem1.is_zero:
         divergence = DivergenceTerm(sp.Integer(0), "synthesized")
         divergence_status = "zero"
         divergence_verdict = theorem1
     else:
-        divergence_status, divergence = find_divergence_term(sys, X, seed=seed, tol=tol)
+        divergence_status, divergence = _divergence_term(sys, X, residual_off, seed, tol)
         if divergence is not None:
-            divergence_verdict = check_divergence_invariance(sys, X, divergence.v, seed=seed, tol=tol)
+            divergence_verdict = _divergence_verdict(sys, X, residual_off, divergence.v, seed, tol)
 
     integral = None
-    if divergence is not None and divergence_verdict is not None and divergence_verdict.is_zero:
-        integral = first_integral(sys, X, v=divergence.v, seed=seed, tol=tol)
+    if divergence_verdict is not None and divergence_verdict.is_zero:
+        integral = _integral(sys, X, divergence.v, seed, tol)
 
     return InvarianceReport(
         symmetry=X.name,
@@ -516,7 +511,7 @@ def build_report(
         divergence=divergence,
         divergence_status=divergence_status,
         divergence_verdict=divergence_verdict,
-        theorem4_verdicts=theorem4_conditions(sys, X, seed=seed, tol=tol),
+        theorem4_verdicts=_theorem4(sys, X, residual_off, seed, tol),
         direct_invariance_verdicts=equation_invariance_direct(sys, X, seed=seed, tol=tol),
         integral=integral,
     )

@@ -25,6 +25,7 @@ from .expressions import (
 )
 from .systems import (
     HamiltonianSystem,
+    HamsymError,
     PointSymmetry,
     Relation,
     SystemDefinition,
@@ -40,13 +41,13 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(HamsymError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
 
 
-class SchemaError(Exception):
+class SchemaError(HamsymError):
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
         self.path = path
@@ -60,7 +61,10 @@ class ParseContext:
 
     def __post_init__(self):
         for name in self.parameters:
-            parameter(name)  # raises on reserved collisions
+            try:
+                parameter(name)  # raises on reserved collisions
+            except ValueError as exc:
+                raise SchemaError(str(exc), "parameters") from None
 
 
 _TOKEN_RE = re.compile(
@@ -293,6 +297,8 @@ def _fmt(e: sp.Expr, parent: int) -> str:
 _SECTION_RE = re.compile(r"^\[\[(?P<rep>[a-z]+)\]\]$|^\[(?P<single>[a-z]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
+# a '#' comment that starts outside a quoted string
+_COMMENT_RE = re.compile(r'^((?:[^"#]|"[^"]*")*)#.*')
 
 
 def _parse_value(raw: str, path: str):
@@ -366,8 +372,8 @@ def _split_sections(text: str) -> list[_Section]:
     sections: list[_Section] = []
     current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT_RE.sub(r"\1", raw).strip()
+        if not line:
             continue
         m = _SECTION_RE.match(line)
         if m:

@@ -3,7 +3,7 @@ registry exercises the same parsing path as user files."""
 from __future__ import annotations
 
 from .parsing import parse_system_file
-from .systems import SystemDefinition
+from .systems import HamsymError, SystemDefinition
 
 __all__ = ["EXAMPLES", "example_names", "load_example"]
 
@@ -201,5 +201,5 @@ def load_example(name: str) -> SystemDefinition:
     try:
         text = EXAMPLES[name]
     except KeyError:
-        raise KeyError(f"unknown example {name!r}; available: {', '.join(example_names())}") from None
+        raise HamsymError(f"unknown example {name!r}; available: {', '.join(example_names())}") from None
     return parse_system_file(text)

@@ -9,7 +9,7 @@ import sympy as sp
 from .expressions import Verdict, jet_order, symbol_info
 
 __all__ = [
-    "SystemError",
+    "HamsymError",
     "HamiltonianSystem",
     "PointSymmetry",
     "DivergenceTerm",
@@ -20,20 +20,21 @@ __all__ = [
 ]
 
 
-class SystemError(Exception):
-    pass
+class HamsymError(Exception):
+    """Base class of the domain errors hamsym reports: bad input, a failed
+    precondition or a numeric abort, as opposed to an internal fault."""
 
 
 def _check_phase_expr(e: sp.Expr, n: int, what: str, parameters) -> None:
     if jet_order(e) > 0:
-        raise SystemError(f"{what} must not contain jet symbols: {e}")
+        raise HamsymError(f"{what} must not contain jet symbols: {e}")
     for s in e.free_symbols:
         info = symbol_info(s)
         if info is None:
             if s.name not in parameters:
-                raise SystemError(f"{what} references undeclared parameter {s.name}")
+                raise HamsymError(f"{what} references undeclared parameter {s.name}")
         elif info[0] in "qp" and not 1 <= info[1] <= n:
-            raise SystemError(f"{what} references {s} outside dimension {n}")
+            raise HamsymError(f"{what} references {s} outside dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,13 @@ class HamiltonianSystem:
 
     n: int
     hamiltonian: sp.Expr
-    parameters: Mapping[str, sp.Rational] = field(default_factory=dict)
+    # not hashed (a dict is unhashable); equality still compares it
+    parameters: Mapping[str, sp.Rational] = field(default_factory=dict, hash=False)
     singularities: tuple[sp.Expr, ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
-            raise SystemError("dimension must be >= 1")
+            raise HamsymError("dimension must be >= 1")
         _check_phase_expr(self.hamiltonian, self.n, "hamiltonian", self.parameters)
         for g in self.singularities:
             _check_phase_expr(g, self.n, "singularity guard", self.parameters)
@@ -74,10 +76,10 @@ class PointSymmetry:
 
     def __post_init__(self):
         if len(self.eta) != len(self.zeta):
-            raise SystemError(f"symmetry {self.name}: eta and zeta lengths differ")
+            raise HamsymError(f"symmetry {self.name}: eta and zeta lengths differ")
         for e in (self.xi, *self.eta, *self.zeta, *(() if self.v is None else (self.v,))):
             if jet_order(e) > 0:
-                raise SystemError(f"symmetry {self.name}: coefficient {e} contains jet symbols")
+                raise HamsymError(f"symmetry {self.name}: coefficient {e} contains jet symbols")
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class SystemDefinition:
         for s in self.symmetries:
             if s.name == name:
                 return s
-        raise KeyError(f"no symmetry named {name!r}")
+        raise HamsymError(f"no symmetry named {name!r}")
 
 
 @dataclass(frozen=True)

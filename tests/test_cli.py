@@ -2,10 +2,16 @@
 and determinism."""
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import hamsym.cli
+import hamsym.noether
 from hamsym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ZERO = ("proven-zero", "numerically-zero")
 
@@ -248,6 +254,67 @@ class TestIdentityCheck:
     def test_bad_dimension(self, capsys):
         code, _, err = run(capsys, "identity-check", "--n", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize("example", ["example1", "coulomb", "oscillator"])
+def test_check_json_matches_golden_bytes(capsys, example):
+    # any intended change to the report must update these files
+    main(["check", "--example", example, "--seed", "42", "--json"])
+    expected = (GOLDEN / f"check-{example}-seed42.json").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_check_builds_shared_objects_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(hamsym.noether, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("canonical_equations", "invariance_residual"):
+        monkeypatch.setattr(hamsym.noether, name, counted(name))
+    maps = hamsym.noether._on_shell_maps
+    maps.cache_clear()
+    code, _, _ = run(capsys, "check", "--example", "example1", "--json")
+    assert code == 0
+    # one system with three symmetries
+    assert calls == {"canonical_equations": 1, "invariance_residual": 3}
+    assert maps.cache_info().misses == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("integral", "--example", "example1", "nope"), "no symmetry named"),
+            (("identity-check", "--n", "1", "--degree", "-1"), "degree"),
+            (("identity-check", "--n", "1", "--count", "0"), "count"),
+        ],
+    )
+    def test_domain_errors_exit_2(self, capsys, argv, message):
+        # an unknown example is covered by TestCheck::test_unknown_example
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err and "Traceback" not in err
+
+    def test_reserved_parameter_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "reserved.txt"
+        path.write_text('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { t = 1 }\n')
+        code, _, err = run(capsys, "check", "--file", str(path))
+        assert code == 2 and "reserved" in err
+
+    def test_internal_error_exits_4_with_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(hamsym.cli, "build_report", broken)
+        code, out, err = run(capsys, "check", "--example", "example1")
+        assert code == 4 and out == ""
+        assert "Traceback" in err and "ValueError: injected fault" in err
 
 
 def test_json_emitted_even_on_failure(capsys):

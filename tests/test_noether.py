@@ -362,3 +362,31 @@ class TestBuildReport:
         assert report.divergence_status == "no-v-exists"
         assert report.integral is None
         assert all(v.is_zero for v in report.theorem4_verdicts)
+
+    @pytest.mark.parametrize("name", ["example1", "coulomb", "oscillator"])
+    def test_agrees_with_public_checkers(self, request, name):
+        defn = request.getfixturevalue(name)
+        sys_ = defn.system
+        for X in defn.symmetries:
+            report = build_report(sys_, X, seed=SEED)
+            theorem1 = check_invariance(sys_, X, seed=SEED)
+            assert report.verdict_theorem1 == theorem1, X.name
+            if X.v is not None:
+                assert report.divergence_status == "user-supplied"
+                expected = check_divergence_invariance(sys_, X, X.v, seed=SEED)
+            elif theorem1.is_zero:
+                assert report.divergence_status == "zero"
+                expected = theorem1
+            else:
+                status, term = find_divergence_term(sys_, X, seed=SEED)
+                assert (report.divergence_status, report.divergence) == (status, term), X.name
+                expected = None if term is None else check_divergence_invariance(sys_, X, term.v, seed=SEED)
+            assert report.divergence_verdict == expected, X.name
+            assert report.theorem4_verdicts == theorem4_conditions(sys_, X, seed=SEED), X.name
+            assert report.direct_invariance_verdicts == equation_invariance_direct(sys_, X, seed=SEED), X.name
+            v = None if report.divergence is None else report.divergence.v
+            if report.integral is not None:
+                assert report.integral == first_integral(sys_, X, v=v, seed=SEED), X.name
+            else:
+                with pytest.raises(InvarianceError):
+                    first_integral(sys_, X, v=v, seed=SEED)

@@ -257,3 +257,24 @@ class TestSystemFile:
     def test_comments_and_blank_lines(self):
         text = "# header\n\n[system]\n# inner\nn = 1\nhamiltonian = \"p1^2\"\n"
         assert parse_system_file(text).system.n == 1
+        # trailing comments on scalar, string, list and inline-table lines;
+        # a '#' inside a quoted string is kept
+        text = (
+            "[system]  # the system\n"
+            "n = 1  # one degree of freedom\n"
+            'hamiltonian = "p1^2/2 + K/q1"  # K is a parameter\n'
+            "parameters = { K = 1/2 }  # rational value\n"
+            'singularities = ["q1"]  # the pole\n'
+            "[[symmetry]]\n"
+            'name = "X#1"  # the time shift\n'
+            'xi = "1"\neta = ["0"]\nzeta = ["0"]\n'
+        )
+        defn = parse_system_file(text)
+        assert defn.system.n == 1
+        assert defn.system.parameters == {"K": sp.Rational(1, 2)}
+        assert defn.system.singularities == (coord(1),)
+        assert defn.symmetries[0].name == "X#1"
+
+    def test_reserved_parameter_name(self):
+        with pytest.raises(SchemaError):
+            parse_system_file('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { t = 1 }\n')
