@@ -10,9 +10,8 @@ from typing import Sequence
 
 import numpy as np
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
-from .expressions import TIME, coord, momentum, symbol_info
+from .expressions import SINGULAR_ERRORS, TIME, compile_tuple, coord, finite_real, momentum, symbol_info
 from .noether import canonical_equations
 from .systems import FirstIntegral, HamiltonianSystem, HamsymError
 
@@ -60,23 +59,17 @@ class CompiledFunction:
             # plain floats so poles raise ZeroDivisionError instead of
             # producing numpy inf silently
             (value,) = self._fn(float(t), *(float(x) for x in state))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        except SINGULAR_ERRORS as exc:
             raise SingularityAbort(f"singular evaluation of {self.expression}: {exc}", t) from None
-        if isinstance(value, complex) or not math.isfinite(value):
+        if not finite_real((value,)):
             raise SingularityAbort(f"non-finite value of {self.expression}", t)
         return float(value)
 
 
 def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = None, array: bool = False):
-    """Bind and check `exprs`, then lambdify them as one cse'd function of
-    (t, q1..qn, p1..pn) returning the tuple of their values. Returns the
-    bound expressions and that function.
-
-    The scalar form runs on Python floats through `math`, so a pole raises
-    ZeroDivisionError, a domain error ValueError, and a fractional power of a
-    negative number gives a complex value. The array form takes whole
-    columns; its namespace holds numpy alone, because modules="numpy" loads
-    far more of numpy and sympy than the printed code uses.
+    """Bind `exprs` and check them against the state layout, then compile
+    them with `compile_tuple` over (t, q1..qn, p1..pn). Returns the bound
+    expressions and the compiled function.
     """
     bound = []
     for e in exprs:
@@ -91,19 +84,7 @@ def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = N
                 raise HamsymError(f"{s} outside dimension {n}")
         bound.append(e)
     args = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
-    if array:
-        fn = sp.lambdify(args, tuple(bound), modules=[{"numpy": np}], printer=NumPyPrinter, cse=True)
-    else:
-        fn = sp.lambdify(args, tuple(bound), modules="math", cse=True)
-    return bound, fn
-
-
-def _finite(values) -> bool:
-    """Whether every value is a finite real number; complex values are not."""
-    try:
-        return all(map(math.isfinite, values))
-    except TypeError:
-        return False
+    return bound, compile_tuple(args, bound, array)
 
 
 def compile_expression(e: sp.Expr, n: int, sys: HamiltonianSystem | None = None) -> CompiledFunction:
@@ -124,6 +105,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise IntegrationError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if not finite_real((self.h, self.t0, self.t1)):
+            raise IntegrationError("h, t0 and t1 must be finite")
         if not (self.h > 0):
             raise IntegrationError("step size h must be positive")
         if not (self.t1 > self.t0):
@@ -154,9 +137,9 @@ def _rhs_function(sys: HamiltonianSystem):
     def rhs(t: float, y: list[float]) -> tuple[float, ...]:
         try:
             k = fn(t, *y)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        except SINGULAR_ERRORS as exc:
             raise SingularityAbort(f"singular evaluation of the canonical equations: {exc}", t) from None
-        if not _finite(k):
+        if not finite_real(k):
             raise SingularityAbort("non-finite value of the canonical equations", t)
         return k
 
@@ -191,7 +174,7 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
         updated = [a + d for a, d in zip(y, increment)]
         carry = [(u - a) - d for u, a, d in zip(updated, y, increment)]
         y = updated
-        if not _finite(y):
+        if not finite_real(y):
             raise SingularityAbort("non-finite state", t)
         states[k + 1] = y
     return Trajectory(times=times, states=states)

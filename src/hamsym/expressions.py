@@ -12,10 +12,13 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 __all__ = [
     "TIME",
@@ -26,6 +29,7 @@ __all__ = [
     "UnboundSymbolError",
     "SingularEvaluationError",
     "SamplingError",
+    "SINGULAR_ERRORS",
     "coord",
     "momentum",
     "coord_deriv",
@@ -36,6 +40,8 @@ __all__ = [
     "partial_diff",
     "total_derivative",
     "simplify",
+    "finite_real",
+    "compile_tuple",
     "evaluate",
     "is_zero",
     "sample_point",
@@ -65,6 +71,8 @@ SAMPLE_LOW = 0.1
 SAMPLE_HIGH = 2.0
 MAX_SAMPLE_ATTEMPTS = 1000
 SINGULAR_GUARD = 0.05
+# sampling evaluates the same expressions at many points
+COMPILE_CACHE_SIZE = 512
 
 _JET_RE = re.compile(r"^(d{0,2})([qp])([1-9][0-9]*)$")
 
@@ -84,7 +92,8 @@ class UnboundSymbolError(ExpressionError):
 
 
 class SingularEvaluationError(ExpressionError):
-    """Evaluation hit a pole or a domain boundary."""
+    """Evaluation hit a pole or a domain boundary; `subexpression` is the
+    whole expression evaluated."""
 
     def __init__(self, message, subexpression):
         super().__init__(f"{message}: {subexpression}")
@@ -200,9 +209,6 @@ def _hide_radicals(e: sp.Expr) -> tuple[sp.Expr, dict]:
     same-base powers at construction, so integer and fractional occurrences
     never need to be identified after the fact.
     """
-    from functools import reduce
-    from math import lcm
-
     bases: dict[sp.Expr, set[int]] = {}
     for node in e.atoms(sp.Pow):
         if node.exp.is_Rational and not node.exp.is_Integer:
@@ -212,7 +218,7 @@ def _hide_radicals(e: sp.Expr) -> tuple[sp.Expr, dict]:
     forward = {}
     back = {}
     for b, denominators in bases.items():
-        m = reduce(lcm, denominators)
+        m = reduce(math.lcm, denominators)
         u = sp.Dummy("r", real=True)
         for node in e.atoms(sp.Pow):
             if node.base == b and node.exp.is_Rational and not node.exp.is_Integer:
@@ -221,73 +227,48 @@ def _hide_radicals(e: sp.Expr) -> tuple[sp.Expr, dict]:
     return e.xreplace(forward), back
 
 
-def _as_float(x: sp.Expr) -> float:
-    return float(x)
+# The one singularity rule: a numeric evaluation is singular when it raises
+# one of these (a pole, a domain error, an overflow) or gives a value that
+# finite_real rejects.
+SINGULAR_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def finite_real(values) -> bool:
+    """Whether every value is a finite real number; complex values are not."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
+def compile_tuple(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr], array: bool = False):
+    """Lambdify `exprs` as one cse'd function of `args` returning the tuple of
+    their values. The scalar form runs on Python floats through `math`, where a
+    fractional power of a negative number is complex. The array form takes
+    whole columns; its namespace holds numpy alone, because modules="numpy"
+    loads far more of numpy and sympy than the printed code uses."""
+    modules, printer = ([{"numpy": np}], NumPyPrinter) if array else ("math", None)
+    return sp.lambdify(args, tuple(exprs), modules=modules, printer=printer, cse=True)
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compiled(e: sp.Expr, args: tuple[sp.Symbol, ...]):
+    return compile_tuple(args, (e,))
 
 
 def evaluate(e: sp.Expr, bindings: Mapping[sp.Symbol, float]) -> float:
-    """Recursive numeric evaluation; raises instead of producing non-finite values."""
-    value = _evaluate(sp.sympify(e), bindings)
-    if not math.isfinite(value):
-        raise SingularEvaluationError("non-finite result", e)
-    return value
-
-
-def _evaluate(e: sp.Expr, bindings: Mapping[sp.Symbol, float]) -> float:
-    if e.is_Number:
-        return _as_float(e)
-    if e.is_Symbol:
-        try:
-            return float(bindings[e])
-        except KeyError:
-            raise UnboundSymbolError(e) from None
-    if e.is_Add:
-        return math.fsum(_evaluate(a, bindings) for a in e.args)
-    if e.is_Mul:
-        out = 1.0
-        for a in e.args:
-            out *= _evaluate(a, bindings)
-        return out
-    if e.is_Pow:
-        base = _evaluate(e.base, bindings)
-        exponent = e.exp
-        if not exponent.is_Rational:
-            raise ExpressionError(f"non-rational exponent in {e}")
-        ex = _as_float(exponent)
-        if base == 0.0 and ex < 0:
-            raise SingularEvaluationError("division by zero", e)
-        if base < 0.0 and not exponent.is_Integer:
-            raise SingularEvaluationError("fractional power of negative base", e)
-        try:
-            value = base ** ex
-        except (OverflowError, ZeroDivisionError):
-            raise SingularEvaluationError("power overflow", e) from None
-        if isinstance(value, complex) or not math.isfinite(value):
-            raise SingularEvaluationError("non-finite power", e)
-        return value
-    if isinstance(e, sp.Function) and len(e.args) == 1:
-        arg = _evaluate(e.args[0], bindings)
-        if isinstance(e, sp.sin):
-            return math.sin(arg)
-        if isinstance(e, sp.cos):
-            return math.cos(arg)
-        if isinstance(e, sp.tan):
-            value = math.tan(arg)
-            if not math.isfinite(value):
-                raise SingularEvaluationError("tangent pole", e)
-            return value
-        if isinstance(e, sp.atan):
-            return math.atan(arg)
-        if isinstance(e, sp.exp):
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise SingularEvaluationError("exp overflow", e) from None
-        if isinstance(e, sp.log):
-            if arg <= 0.0:
-                raise SingularEvaluationError("log of non-positive value", e)
-            return math.log(arg)
-    raise ExpressionError(f"cannot evaluate node {e} of type {type(e).__name__}")
+    """Value of `e` on Python floats; raises instead of giving a singular value."""
+    e = sp.sympify(e)
+    args = tuple(sorted(e.free_symbols, key=lambda s: s.name))
+    try:
+        (value,) = _compiled(e, args)(*(float(bindings[s]) for s in args))
+    except KeyError as exc:
+        raise UnboundSymbolError(exc.args[0]) from None
+    except SINGULAR_ERRORS as exc:
+        raise SingularEvaluationError(f"singular evaluation ({exc})", e) from None
+    if not finite_real((value,)):
+        raise SingularEvaluationError("non-finite value", e)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -396,11 +377,17 @@ def is_zero(
         except SingularEvaluationError:
             attempts_left -= 1
             continue
+        bound = tol * (1.0 + _magnitude_scale(terms, point))
+        if abs(value) > bound:
+            # confirm a float nonzero at 50 digits before reporting it
+            exact = simplified.evalf(50, subs=point)
+            if not (exact.is_real and exact.is_finite):
+                attempts_left -= 1
+                continue
+            if abs(exact) > bound:
+                witness = {s.name: v for s, v in sorted(point.items(), key=lambda kv: kv[0].name)}
+                return Verdict(Verdict.NONZERO, witness=witness, value=value)
         sampled += 1
-        scale = _magnitude_scale(terms, point)
-        if abs(value) > tol * (1.0 + scale):
-            witness = {s.name: v for s, v in sorted(point.items(), key=lambda kv: kv[0].name)}
-            return Verdict(Verdict.NONZERO, witness=witness, value=value)
     if sampled == 0:
         return Verdict(Verdict.INCONCLUSIVE)
     return Verdict(Verdict.NUMERIC, points=sampled, tolerance=tol)

@@ -231,7 +231,8 @@ _PREC_MUL = 2
 _PREC_UNARY = 3
 _PREC_ATOM = 4
 
-_FUNC_NAMES = {sp.sin: "sin", sp.cos: "cos", sp.tan: "tan", sp.atan: "arctan", sp.exp: "exp", sp.log: "log"}
+# sqrt is a function, not a class: it builds a power and prints as one
+_FUNC_NAMES = {cls: name for name, cls in FUNCTIONS.items() if isinstance(cls, type)}
 
 
 def format_expression(e: sp.Expr) -> str:

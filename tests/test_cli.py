@@ -168,6 +168,11 @@ class TestVerify:
         assert payload["verdict"]["status"] == "nonzero"
         assert "witness" in payload["verdict"]
 
+    def test_number_symbol(self, capsys):
+        # exp(1) parses to the number symbol E, which sampling must evaluate
+        code, payload, _ = run_json(capsys, "verify", "--example", "example1", "exp(1)*q1")
+        assert code == 1 and payload["verdict"]["status"] == "nonzero"
+
     def test_angular_momentum(self, capsys):
         code, _, _ = run(capsys, "verify", "--example", "kepler3", "q1*p2 - q2*p1")
         assert code == 0
@@ -256,12 +261,24 @@ class TestIdentityCheck:
         assert code == 2
 
 
-@pytest.mark.parametrize("example", ["example1", "coulomb", "oscillator"])
-def test_check_json_matches_golden_bytes(capsys, example):
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(["check", "--example", example, "--seed", "42"], f"check-{example}-seed42.json", id=example)
+        for example in ("example1", "coulomb", "oscillator", "kepler2")
+    ]
+    + [
+        pytest.param(
+            ["verify", "--example", "example1", "q1*p1", "--seed", "42"],
+            "verify-example1-q1p1-seed42.json",
+            id="verify-example1-q1p1",
+        ),
+    ],
+)
+def test_check_json_matches_golden_bytes(capsys, argv, golden):
     # any intended change to the report must update these files
-    main(["check", "--example", example, "--seed", "42", "--json"])
-    expected = (GOLDEN / f"check-{example}-seed42.json").read_bytes()
-    assert capsys.readouterr().out.encode() == expected
+    main([*argv, "--json"])
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_check_builds_shared_objects_once(capsys, monkeypatch):
@@ -294,6 +311,9 @@ class TestExitCodes:
             (("integral", "--example", "example1", "nope"), "no symmetry named"),
             (("identity-check", "--n", "1", "--degree", "-1"), "degree"),
             (("identity-check", "--n", "1", "--count", "0"), "count"),
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--t1", "inf"), "finite"),
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--t0=-inf"), "finite"),
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "inf"), "finite"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):

@@ -18,7 +18,7 @@ from hamsym.dynamics import (
     drift,
     integrate,
 )
-from hamsym.expressions import FUNCTIONS, TIME, coord, evaluate, momentum, sample_point
+from hamsym.expressions import FUNCTIONS, TIME, coord, momentum, sample_point
 from hamsym.noether import canonical_equations, first_integral
 from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError
 
@@ -57,9 +57,14 @@ class TestCompile:
             ((p**2 + 1 / q**2) / 2, 1),
             (sp.atan(p / q) + TIME, 1),
             (sp.sqrt(coord(1) ** 2 + coord(2) ** 2) * momentum(2) - TIME / coord(2), 2),
-        ],
+        ]
+        # one input per supported function, on an argument in (0, 1.3] where
+        # each is well conditioned
+        + [(f((q**2 + p**2 + TIME**2) / 10) * p, 1) for f in FUNCTIONS.values()],
     )
     def test_agrees_with_evaluate(self, expression, n):
+        # the reference is sympy's own 30-digit evalf, independent of the
+        # compile step that compiled evaluation and evaluate share
         fn = compile_expression(expression, n)
         symbols = [TIME] + [coord(i) for i in range(1, n + 1)] + [momentum(i) for i in range(1, n + 1)]
         rng = Random(17)
@@ -67,7 +72,7 @@ class TestCompile:
             point = sample_point(symbols, rng)
             state = np.array([point[s] for s in symbols[1:]])
             a = fn(point[TIME], state)
-            b = evaluate(expression, point)
+            b = float(expression.evalf(30, subs=point))
             assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("name", ["example1", "kepler3"])

@@ -149,21 +149,25 @@ class TestEvaluate:
         point = {coord(1): 3.0, coord(2): 4.0, coord(3): 0.0}
         assert evaluate(e, point) == 5.0
 
-    def test_pole(self):
-        with pytest.raises(SingularEvaluationError):
-            evaluate(1 / q, {q: 0.0})
+    @pytest.mark.parametrize(
+        "expression, bindings, error",
+        [
+            pytest.param(1 / q, {q: 0.0}, SingularEvaluationError, id="pole"),
+            pytest.param(sp.sqrt(q), {q: -1.0}, SingularEvaluationError, id="sqrt-of-negative"),
+            pytest.param(sp.log(q), {q: 0.0}, SingularEvaluationError, id="log-of-zero"),
+            pytest.param(sp.log(q), {q: -1.0}, SingularEvaluationError, id="log-of-negative"),
+            pytest.param(q ** sp.Rational(3, 2), {q: -1.0}, SingularEvaluationError, id="power-of-negative"),
+            pytest.param(sp.exp(q), {q: 1000.0}, SingularEvaluationError, id="exp-overflow"),
+            pytest.param(p * q, {q: 1.0}, UnboundSymbolError, id="unbound"),
+        ],
+    )
+    def test_raises(self, expression, bindings, error):
+        with pytest.raises(error):
+            evaluate(expression, bindings)
 
-    def test_sqrt_of_negative(self):
-        with pytest.raises(SingularEvaluationError):
-            evaluate(sp.sqrt(q), {q: -1.0})
-
-    def test_log_of_nonpositive(self):
-        with pytest.raises(SingularEvaluationError):
-            evaluate(sp.log(q), {q: 0.0})
-
-    def test_unbound(self):
-        with pytest.raises(UnboundSymbolError):
-            evaluate(p * q, {q: 1.0})
+    def test_number_symbol(self):
+        # the parser reads exp(1) as the number symbol E
+        assert evaluate(sp.E * q, {q: 2.0}) == 2 * math.e
 
     def test_transcendental(self):
         assert math.isclose(evaluate(sp.atan(p / q) + TIME, {q: 1.0, p: 1.0, TIME: 0.5}),
@@ -186,6 +190,12 @@ class TestIsZero:
         verdict = is_zero(sp.sin(TIME) ** 2 + sp.cos(TIME) ** 2 - 1, seed=1)
         assert verdict.status == Verdict.NUMERIC
         assert verdict.points == 32 and verdict.tolerance == 1e-9
+
+    def test_float_residue_is_not_a_witness(self):
+        # in floats sin^2 + cos^2 - 1 leaves ~1e-16, far above this tolerance;
+        # the 50-digit re-evaluation of each candidate witness removes it
+        verdict = is_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1, tol=1e-30)
+        assert verdict.status == Verdict.NUMERIC and verdict.points == 32
 
     def test_inconclusive_when_sampling_impossible(self):
         # a guard that is identically zero rejects every candidate point
