@@ -19,7 +19,7 @@ from .dynamics import (
     drift,
     integrate,
 )
-from .expressions import DEFAULT_TOL
+from .expressions import DEFAULT_TOL, Verdict
 from .identity import identity_check
 from .noether import (
     InvarianceError,
@@ -51,7 +51,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_source: bool = True) -> N
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, metavar="U64", help="seed for numeric verdicts")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="FLOAT", help="zero-test tolerance")
-    parser.add_argument("--force", action="store_true", help="construct integrals despite failed invariance")
     if needs_source:
         source = parser.add_mutually_exclusive_group()
         source.add_argument("--example", metavar="NAME", help="built-in example system")
@@ -70,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="construct and verify a first integral")
     _add_common(p)
     p.add_argument("symmetry", help="symmetry name")
+    p.add_argument("--force", action="store_true", help="construct the integral despite failed invariance")
 
     p = sub.add_parser("verify", help="test whether an expression is a first integral")
     _add_common(p)
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("examples", help="list built-in examples")
-    _add_common(p, needs_source=False)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
@@ -180,8 +180,8 @@ def _describe_symmetry(entry: dict) -> str:
     bits = [f"theorem1 {entry['theorem1']['status']}", f"divergence {entry['divergence']['status']}"]
     if "v" in entry["divergence"] and entry["divergence"]["v"] != "0":
         bits.append(f"v = {entry['divergence']['v']}")
-    bits.append("theorem4 " + ("pass" if all(s in ("proven-zero", "numerically-zero") for s in entry["theorem4"]) else "fail"))
-    bits.append("direct " + ("pass" if all(s in ("proven-zero", "numerically-zero") for s in entry["direct"]) else "fail"))
+    for check in ("theorem4", "direct"):
+        bits.append(f"{check} " + ("pass" if all(Verdict(s).is_zero for s in entry[check]) else "fail"))
     if "integral" in entry:
         bits.append(f"integral {entry['integral']['expr']} ({entry['integral']['verified']['status']})")
     else:

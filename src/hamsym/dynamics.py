@@ -160,8 +160,11 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
     # distribute the interval over a whole number of uniform steps so the
     # trajectory ends exactly at t1
     h = (config.t1 - config.t0) / steps
-    times = config.t0 + h * np.arange(steps + 1)
-    states = np.empty((steps + 1, 2 * sys.n))
+    try:
+        times = config.t0 + h * np.arange(steps + 1)
+        states = np.empty((steps + 1, 2 * sys.n))
+    except (ValueError, MemoryError):
+        raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
     states[0] = y
     y = y.tolist()
     step = _rk4_increment if config.method == "rk4" else _midpoint_increment

@@ -151,6 +151,13 @@ def jet_order(e: sp.Expr) -> int:
 
 
 def partial_diff(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
+    """de/ds. A sum is differentiated term by term, as sympy does, but
+    without sympy's closing test of whether the whole derivative is zero:
+    on large polynomials in real symbols that assumption query costs more
+    than the derivative."""
+    e = sp.sympify(e)
+    if e.is_Add:
+        return e.func(*(sp.diff(a, s) for a in e.args))
     return sp.diff(e, s)
 
 
@@ -162,7 +169,7 @@ def total_derivative(e: sp.Expr) -> sp.Expr:
     would need order-3 symbols.
     """
     e = sp.sympify(e)
-    out = sp.diff(e, TIME)
+    out = partial_diff(e, TIME)
     for s in e.free_symbols:
         info = symbol_info(s)
         if info is None or info[0] == "t":
@@ -171,7 +178,7 @@ def total_derivative(e: sp.Expr) -> sp.Expr:
         if order >= MAX_JET_ORDER:
             raise JetOrderError(f"total derivative of order-{order} symbol {s} exceeds jet order {MAX_JET_ORDER}")
         maker = coord_deriv if kind == "q" else momentum_deriv
-        out += maker(index, order + 1) * sp.diff(e, s)
+        out += maker(index, order + 1) * partial_diff(e, s)
     return out
 
 
@@ -190,7 +197,7 @@ def simplify(e: sp.Expr) -> sp.Expr:
     e = sp.together(e)
     hidden, back = _hide_radicals(e)
     out = sp.cancel(hidden)
-    return out.subs(back) if back else out
+    return out.xreplace(back)
 
 
 def _is_plain_polynomial(e: sp.Expr) -> bool:

@@ -12,6 +12,7 @@ from random import Random
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
 import sympy as sp
 
 from .expressions import (
@@ -107,11 +108,8 @@ def _on_shell_maps(sys: HamiltonianSystem) -> tuple[Mapping, Mapping]:
 def on_shell(sys: HamiltonianSystem, e: sp.Expr) -> sp.Expr:
     """Substitute the canonical equations and their differential consequences
     for all jet symbols; the result is a function of (t, q, p) only."""
-    e = sp.sympify(e)
     first, second = _on_shell_maps(sys)
-    if jet_order(e) >= 2:
-        e = e.subs(second, simultaneous=True)
-    return simplify(e.subs(first, simultaneous=True))
+    return simplify(sp.sympify(e).xreplace(second).xreplace(first))
 
 
 def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
@@ -122,9 +120,11 @@ def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
     return out
 
 
+@lru_cache(maxsize=8)
 def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Off-shell residual of the action-invariance condition:
-    zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi)."""
+    zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), simplified. Built once per
+    (system, symmetry) and shared by every check that reads it."""
     if len(X.eta) != sys.n:
         raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
     H = sys.hamiltonian
@@ -134,18 +134,11 @@ def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     return simplify(out)
 
 
-# The public checkers below take (sys, X), build the off-shell residual and
-# hand it to a private core; build_report builds it once and calls the cores.
-
-
 def check_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    return _theorem1(sys, X, on_shell(sys, invariance_residual(sys, X)), seed, tol)
-
-
-def _theorem1(sys, X, residual_on, seed, tol) -> Verdict:
-    return _zero(sys, residual_on, f"theorem1:{X.name}", seed, tol)
+    """Theorem 1: the on-shell verdict of the invariance residual."""
+    return _zero(sys, on_shell(sys, invariance_residual(sys, X)), f"theorem1:{X.name}", seed, tol)
 
 
 def _jet_linear_coefficients(sys: HamiltonianSystem, residual: sp.Expr):
@@ -176,11 +169,8 @@ def find_divergence_term(
     definitively) or 'not-synthesizable' (non-polynomial coefficients;
     a caller-supplied V may still verify).
     """
-    return _divergence_term(sys, X, invariance_residual(sys, X), seed, tol)
-
-
-def _divergence_term(sys, X, residual, seed, tol) -> tuple[str, DivergenceTerm | None]:
-    if simplify(residual) == 0:
+    residual = invariance_residual(sys, X)
+    if residual == 0:
         return "zero", DivergenceTerm(sp.Integer(0), "synthesized")
     decomposition = _jet_linear_coefficients(sys, residual)
     if decomposition is None:
@@ -203,7 +193,7 @@ def _divergence_term(sys, X, residual, seed, tol) -> tuple[str, DivergenceTerm |
     scaled = {z: s * z for z in variables}
     v = sp.Integer(0)
     for z, g in zip(variables, gradient):
-        v += sp.integrate(sp.expand(z * g.subs(scaled, simultaneous=True)), (s, 0, 1))
+        v += sp.integrate(sp.expand(z * g.xreplace(scaled)), (s, 0, 1))
     v = simplify(v)
     if not _zero(sys, residual - total_derivative(v), f"divsynth:{X.name}", seed, tol).is_zero:
         return "not-synthesizable", None
@@ -213,13 +203,11 @@ def _divergence_term(sys, X, residual, seed, tol) -> tuple[str, DivergenceTerm |
 def check_divergence_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
+    """The divergence remark: the on-shell verdict of residual - D(v)."""
     if jet_order(v) > 0:
         raise HamsymError("divergence term must not contain jet symbols")
-    return _divergence_verdict(sys, X, invariance_residual(sys, X), v, seed, tol)
-
-
-def _divergence_verdict(sys, X, residual, v, seed, tol) -> Verdict:
-    return _zero(sys, on_shell(sys, residual - total_derivative(v)), f"divergence:{X.name}", seed, tol)
+    residual = invariance_residual(sys, X) - total_derivative(v)
+    return _zero(sys, on_shell(sys, residual), f"divergence:{X.name}", seed, tol)
 
 
 def first_integral(
@@ -283,18 +271,21 @@ def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry
     return PointSymmetry(name=f"{X.name}~", xi=sp.Integer(0), eta=eta, zeta=zeta)
 
 
-def variational_derivative_p(e: sp.Expr, j: int) -> sp.Expr:
-    """delta e / delta p_j = de/dp_j - D(de/d(dp_j))."""
+def _variational_derivative(e: sp.Expr, w: sp.Symbol, dw: sp.Symbol) -> sp.Expr:
+    """delta e / delta w = de/dw - D(de/d(dw))."""
     if jet_order(e) > 1:
         raise HamsymError("variational derivative requires jet order <= 1")
-    return partial_diff(e, momentum(j)) - total_derivative(partial_diff(e, momentum_deriv(j)))
+    return partial_diff(e, w) - total_derivative(partial_diff(e, dw))
+
+
+def variational_derivative_p(e: sp.Expr, j: int) -> sp.Expr:
+    """delta e / delta p_j."""
+    return _variational_derivative(e, momentum(j), momentum_deriv(j))
 
 
 def variational_derivative_q(e: sp.Expr, j: int) -> sp.Expr:
-    """delta e / delta q^j = de/dq^j - D(de/d(dq_j))."""
-    if jet_order(e) > 1:
-        raise HamsymError("variational derivative requires jet order <= 1")
-    return partial_diff(e, coord(j)) - total_derivative(partial_diff(e, coord_deriv(j)))
+    """delta e / delta q^j."""
+    return _variational_derivative(e, coord(j), coord_deriv(j))
 
 
 # the two sides of every 2n-tuple, momentum side first
@@ -363,10 +354,7 @@ def theorem4_conditions(
 ) -> tuple[Verdict, ...]:
     """On-shell verdicts of the 2n variational-derivative conditions that
     characterize invariance of the canonical equations."""
-    return _theorem4(sys, X, invariance_residual(sys, X), seed, tol)
-
-
-def _theorem4(sys, X, residual, seed, tol) -> tuple[Verdict, ...]:
+    residual = invariance_residual(sys, X)
     return tuple(
         _zero(sys, on_shell(sys, vard(residual, j)), f"theorem4:{X.name}:{side}{j}", seed, tol)
         for side, vard in _SIDES
@@ -396,7 +384,7 @@ def relation_expression(
             subs[s] = integrals[s.name]
         elif s.name not in sys.parameters:
             return None
-    return relation.expression.subs(subs, simultaneous=True)
+    return relation.expression.xreplace(subs)
 
 
 def relation_check(
@@ -414,27 +402,6 @@ def relation_check(
     return _zero(sys, e - relation.equals, f"relation:{relation.name}", seed, tol)
 
 
-def _pivoted_rank(rows: list[list[float]], tol: float) -> int:
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    scale = max((abs(x) for row in m for x in row), default=0.0)
-    threshold = tol * max(1.0, scale)
-    rank = 0
-    for col in range(n_cols):
-        pivot = max(range(rank, n_rows), key=lambda r: abs(m[r][col]), default=None)
-        if pivot is None or abs(m[pivot][col]) <= threshold:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col] / m[rank][col]
-            for c in range(col, n_cols):
-                m[r][c] -= factor * m[rank][c]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def functional_independence(
     integrals: Sequence[FirstIntegral],
     sys: HamiltonianSystem,
@@ -443,7 +410,8 @@ def functional_independence(
     tol: float = 1e-8,
 ) -> int:
     """Maximum observed rank of the Jacobian of the integrals with respect
-    to (q, p) at random non-singular points."""
+    to (q, p) at random non-singular points; singular values at or below
+    tol * max(1, largest |entry|) count as zero."""
     if not integrals:
         raise HamsymError("need at least one integral")
     qs, ps = _phase_symbols(sys.n)
@@ -457,18 +425,17 @@ def functional_independence(
         for entry in row:
             sample_symbols |= entry.free_symbols
     rng = Random(derive_seed(seed, "independence"))
-    best = 0
-    sampled = 0
-    attempts = 0
+    best = sampled = attempts = 0
     while sampled < points and attempts < 200:
         attempts += 1
         try:
             point = sample_point(sample_symbols, rng, sys.bound_singularities)
-            rows = [[evaluate(entry, point) for entry in row] for row in jacobian]
+            rows = np.array([[evaluate(entry, point) for entry in row] for row in jacobian])
         except (SamplingError, SingularEvaluationError):
             continue
         sampled += 1
-        best = max(best, _pivoted_rank(rows, tol))
+        threshold = tol * max(1.0, float(np.abs(rows).max()))
+        best = max(best, int(np.linalg.matrix_rank(rows, tol=threshold)))
     if sampled == 0:
         raise SamplingError("could not sample any non-singular point for the Jacobian")
     return best
@@ -478,26 +445,23 @@ def build_report(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> InvarianceReport:
     """Run the full per-symmetry pipeline: Theorem 1, divergence handling,
-    Theorem 4, direct invariance, and integral construction when justified.
-    The off-shell residual is built once and read by every check."""
-    residual_off = invariance_residual(sys, X)
-    residual_on = on_shell(sys, residual_off)
-    theorem1 = _theorem1(sys, X, residual_on, seed, tol)
+    Theorem 4, direct invariance, and integral construction when justified."""
+    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
 
     divergence: DivergenceTerm | None = None
     divergence_verdict: Verdict | None = None
     if X.v is not None:
         divergence = DivergenceTerm(X.v, "user-supplied")
         divergence_status = "user-supplied"
-        divergence_verdict = _divergence_verdict(sys, X, residual_off, X.v, seed, tol)
+        divergence_verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
     elif theorem1.is_zero:
         divergence = DivergenceTerm(sp.Integer(0), "synthesized")
         divergence_status = "zero"
         divergence_verdict = theorem1
     else:
-        divergence_status, divergence = _divergence_term(sys, X, residual_off, seed, tol)
+        divergence_status, divergence = find_divergence_term(sys, X, seed=seed, tol=tol)
         if divergence is not None:
-            divergence_verdict = _divergence_verdict(sys, X, residual_off, divergence.v, seed, tol)
+            divergence_verdict = check_divergence_invariance(sys, X, divergence.v, seed=seed, tol=tol)
 
     integral = None
     if divergence_verdict is not None and divergence_verdict.is_zero:
@@ -505,13 +469,11 @@ def build_report(
 
     return InvarianceReport(
         symmetry=X.name,
-        residual_off_shell=residual_off,
-        residual_on_shell=residual_on,
         verdict_theorem1=theorem1,
         divergence=divergence,
         divergence_status=divergence_status,
         divergence_verdict=divergence_verdict,
-        theorem4_verdicts=_theorem4(sys, X, residual_off, seed, tol),
+        theorem4_verdicts=theorem4_conditions(sys, X, seed=seed, tol=tol),
         direct_invariance_verdicts=equation_invariance_direct(sys, X, seed=seed, tol=tol),
         integral=integral,
     )

@@ -57,7 +57,7 @@ class HamiltonianSystem:
     def bind(self, e: sp.Expr) -> sp.Expr:
         """Substitute parameter values for numeric work."""
         subs = {sp.Symbol(name, real=True): value for name, value in self.parameters.items()}
-        return sp.sympify(e).subs(subs) if subs else sp.sympify(e)
+        return sp.sympify(e).xreplace(subs)
 
     @property
     def bound_singularities(self) -> tuple[sp.Expr, ...]:
@@ -125,8 +125,6 @@ class InvarianceReport:
     Theorem 4 and the direct equation-invariance conditions."""
 
     symmetry: str
-    residual_off_shell: sp.Expr
-    residual_on_shell: sp.Expr
     verdict_theorem1: Verdict
     divergence: DivergenceTerm | None
     divergence_status: str

@@ -10,6 +10,7 @@ import pytest
 import hamsym.cli
 import hamsym.noether
 from hamsym.cli import main
+from hamsym.identity import identity_check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,25 +284,30 @@ def test_check_json_matches_golden_bytes(capsys, argv, golden):
 
 def test_check_builds_shared_objects_once(capsys, monkeypatch):
     calls = Counter()
+    original = hamsym.noether.canonical_equations
 
-    def counted(name):
-        original = getattr(hamsym.noether, name)
+    def counted(*args, **kwargs):
+        calls["canonical_equations"] += 1
+        return original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("canonical_equations", "invariance_residual"):
-        monkeypatch.setattr(hamsym.noether, name, counted(name))
-    maps = hamsym.noether._on_shell_maps
-    maps.cache_clear()
+    monkeypatch.setattr(hamsym.noether, "canonical_equations", counted)
+    # repeated calls hit the memos, so builds are counted as cache misses
+    memos = (hamsym.noether._on_shell_maps, hamsym.noether.invariance_residual)
+    for memo in memos:
+        memo.cache_clear()
     code, _, _ = run(capsys, "check", "--example", "example1", "--json")
     assert code == 0
     # one system with three symmetries
-    assert calls == {"canonical_equations": 1, "invariance_residual": 3}
-    assert maps.cache_info().misses == 1
+    assert calls == {"canonical_equations": 1}
+    assert [memo.cache_info().misses for memo in memos] == [1, 3]
+
+
+def test_identity_check_builds_one_residual_per_case():
+    # Lemma 1 and Lemma 2 read the same residual
+    residual = hamsym.noether.invariance_residual
+    residual.cache_clear()
+    identity_check(2, 3, 2)
+    assert residual.cache_info().misses == 2
 
 
 class TestExitCodes:
@@ -314,12 +320,22 @@ class TestExitCodes:
             (("simulate", "--example", "oscillator", "--state", "1,0", "--t1", "inf"), "finite"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--t0=-inf"), "finite"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "inf"), "finite"),
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--h=1e-300"), "1e+300 steps"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):
         # an unknown example is covered by TestCheck::test_unknown_example
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "--example", "example1", "--force"), ("examples", "--seed", "1"), ("examples", "--tol", "1")],
+    )
+    def test_unknown_option_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
     def test_reserved_parameter_exits_2(self, capsys, tmp_path):
         path = tmp_path / "reserved.txt"
