@@ -16,6 +16,7 @@ from . import __version__
 from .dynamics import (
     IntegratorConfig,
     SingularityAbort,
+    allocate_trajectory,
     drift,
     integrate,
 )
@@ -258,6 +259,7 @@ def cmd_simulate(args) -> int:
     sys_ = defn.system
     state0 = _parse_state(args.state, sys_.n)
     config = IntegratorConfig(method=args.method, h=args.h, t0=args.t0, t1=args.t1)
+    allocate_trajectory(config, sys_.n)  # a trajectory too large to hold fails before the report
     payload, reports, _ = _system_report(defn, args)
     integrals = [r.integral for r in reports if r.integral is not None]
     named = {i.name: i.expression for i in integrals}

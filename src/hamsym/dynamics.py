@@ -23,6 +23,7 @@ __all__ = [
     "IntegrationError",
     "SingularityAbort",
     "compile_expression",
+    "allocate_trajectory",
     "integrate",
     "drift",
     "convergence_order",
@@ -116,6 +117,11 @@ class IntegratorConfig:
     def steps(self) -> int:
         return max(1, round((self.t1 - self.t0) / self.h))
 
+    @property
+    def step(self) -> float:
+        # the interval over a whole number of steps, so a trajectory ends at t1
+        return (self.t1 - self.t0) / self.steps
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -146,6 +152,18 @@ def _rhs_function(sys: HamiltonianSystem):
     return rhs
 
 
+def allocate_trajectory(config: IntegratorConfig, n: int) -> Trajectory:
+    """The time grid of `config` and room for its states in dimension n;
+    raises IntegrationError when the trajectory cannot be allocated."""
+    steps = config.steps
+    try:
+        times = config.t0 + config.step * np.arange(steps + 1)
+        states = np.empty((steps + 1, 2 * n))
+    except (ValueError, MemoryError):
+        raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
+    return Trajectory(times=times, states=states)
+
+
 def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Advance the canonical equations with the configured fixed-step method.
 
@@ -156,22 +174,15 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
     if y.shape != (2 * sys.n,):
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
     rhs = _rhs_function(sys)
-    steps = config.steps
-    # distribute the interval over a whole number of uniform steps so the
-    # trajectory ends exactly at t1
-    h = (config.t1 - config.t0) / steps
-    try:
-        times = config.t0 + h * np.arange(steps + 1)
-        states = np.empty((steps + 1, 2 * sys.n))
-    except (ValueError, MemoryError):
-        raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
+    trajectory = allocate_trajectory(config, sys.n)
+    times, states, h = trajectory.times, trajectory.states, config.step
     states[0] = y
     y = y.tolist()
     step = _rk4_increment if config.method == "rk4" else _midpoint_increment
     # compensated (Kahan) accumulation of the state: long runs otherwise
     # accumulate a rounding random walk that masks the methods' conservation
     carry = [0.0] * len(y)
-    for k in range(steps):
+    for k in range(config.steps):
         t = float(times[k])
         increment = [d - c for d, c in zip(step(rhs, t, y, h, config), carry)]
         updated = [a + d for a, d in zip(y, increment)]
@@ -180,7 +191,7 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
         if not finite_real(y):
             raise SingularityAbort("non-finite state", t)
         states[k + 1] = y
-    return Trajectory(times=times, states=states)
+    return trajectory
 
 
 def _rk4_increment(rhs, t, y, h, config) -> list[float]:

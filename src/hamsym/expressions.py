@@ -18,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 from sympy.printing.numpy import NumPyPrinter
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "parameter",
     "symbol_info",
     "jet_order",
+    "jet_ring",
     "partial_diff",
     "total_derivative",
     "simplify",
@@ -141,36 +144,58 @@ def symbol_info(s: sp.Symbol) -> tuple[str, int, int] | None:
     return None
 
 
-def jet_order(e: sp.Expr) -> int:
+def jet_order(e: sp.Expr | PolyElement) -> int:
     order = 0
-    for s in e.free_symbols:
+    for s in _jet_view(e)[1]:
         info = symbol_info(s)
         if info and info[0] in "qp":
             order = max(order, info[2])
     return order
 
 
-def partial_diff(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
-    """de/ds. A sum is differentiated term by term, as sympy does, but
-    without sympy's closing test of whether the whole derivative is zero:
-    on large polynomials in real symbols that assumption query costs more
-    than the derivative."""
+@lru_cache(maxsize=4)
+def jet_ring(n: int) -> PolyRing:
+    """The polynomial ring over QQ in t and the jet symbols of dimension n up
+    to order 2; its generators are the same Symbol objects."""
+    indices = range(1, n + 1)
+    jets = [maker(i, order) for order in (1, 2) for maker in (coord_deriv, momentum_deriv) for i in indices]
+    return PolyRing([TIME, *map(coord, indices), *map(momentum, indices), *jets], QQ)
+
+
+def _jet_view(e):
+    """(e, the symbols e depends on, the map of an Expr into e's algebra)
+    for an Expr or an element of a jet ring."""
+    if isinstance(e, PolyElement):
+        ring = e.ring
+        return e, [s for s, d in zip(ring.symbols, e.degrees()) if d > 0], ring.from_expr
+    e = sp.sympify(e)
+    return e, e.free_symbols, sp.sympify
+
+
+def partial_diff(e: sp.Expr | PolyElement, s: sp.Symbol) -> sp.Expr | PolyElement:
+    """de/ds, in the algebra of e. A sum is differentiated term by term, as
+    sympy does, but without sympy's closing test of whether the whole
+    derivative is zero: on large polynomials in real symbols that assumption
+    query costs more than the derivative."""
+    if isinstance(e, PolyElement):
+        symbols = e.ring.symbols
+        return e.diff(symbols.index(s)) if s in symbols else e.ring.zero
     e = sp.sympify(e)
     if e.is_Add:
         return e.func(*(sp.diff(a, s) for a in e.args))
     return sp.diff(e, s)
 
 
-def total_derivative(e: sp.Expr) -> sp.Expr:
-    """Total time derivative on the truncated jet space.
+def total_derivative(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
+    """Total time derivative on the truncated jet space, in the algebra of e.
 
     D(e) = de/dt + sum_i dqi*de/dqi + dpi*de/dpi + ddqi*de/ddqi + ddpi*de/ddpi.
     Rejects input already containing order-2 jet symbols, since the result
     would need order-3 symbols.
     """
-    e = sp.sympify(e)
+    e, symbols, lift = _jet_view(e)
     out = partial_diff(e, TIME)
-    for s in e.free_symbols:
+    for s in symbols:
         info = symbol_info(s)
         if info is None or info[0] == "t":
             continue
@@ -178,17 +203,20 @@ def total_derivative(e: sp.Expr) -> sp.Expr:
         if order >= MAX_JET_ORDER:
             raise JetOrderError(f"total derivative of order-{order} symbol {s} exceeds jet order {MAX_JET_ORDER}")
         maker = coord_deriv if kind == "q" else momentum_deriv
-        out += maker(index, order + 1) * partial_diff(e, s)
+        out += lift(maker(index, order + 1)) * partial_diff(e, s)
     return out
 
 
-def simplify(e: sp.Expr) -> sp.Expr:
+def simplify(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
     """Canonicalize: constant folding, like-term collection and
-    rational-function normalization over a common denominator.
+    rational-function normalization over a common denominator. A jet-ring
+    element is already canonical and comes back unchanged.
 
     Transcendental subterms are treated as atoms, so this need not prove
     identities such as sin^2 + cos^2 = 1; is_zero covers those numerically.
     """
+    if isinstance(e, PolyElement):
+        return e
     e = sp.sympify(e)
     if _is_plain_polynomial(e):
         # doit() re-evaluates any explicitly unevaluated Add/Mul nodes,

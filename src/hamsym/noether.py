@@ -27,6 +27,7 @@ from .expressions import (
     evaluate,
     is_zero,
     jet_order,
+    jet_ring,
     momentum,
     momentum_deriv,
     partial_diff,
@@ -112,8 +113,24 @@ def on_shell(sys: HamiltonianSystem, e: sp.Expr) -> sp.Expr:
     return simplify(sp.sympify(e).xreplace(second).xreplace(first))
 
 
+@lru_cache(maxsize=8)
+def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
+    """(lift, H, X) in the algebra that the lemma code of (sys, X) computes
+    in, where lift maps an Expr into it: the jet ring over QQ when H, xi, eta
+    and zeta are all polynomials over QQ in (t, q, p), with no parameters and
+    no floats, whose arithmetic gives canonical forms directly; else Expr."""
+    lift = jet_ring(sys.n).from_expr
+    try:
+        if any(e.atoms(sp.Float) for e in (sys.hamiltonian, X.xi, *X.eta, *X.zeta)):
+            raise ValueError("a float is not an exact rational")
+        lifted = PointSymmetry(X.name, lift(X.xi), tuple(map(lift, X.eta)), tuple(map(lift, X.zeta)))
+        return lift, lift(sys.hamiltonian), lifted
+    except ValueError:
+        return sp.sympify, sys.hamiltonian, X
+
+
 def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
-    """X(f) for f = f(t, q, p)."""
+    """X(f) for f = f(t, q, p), with X's coefficients in the algebra of f."""
     out = X.xi * partial_diff(f, TIME)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += eta * partial_diff(f, coord(i)) + zeta * partial_diff(f, momentum(i))
@@ -127,11 +144,11 @@ def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     (system, symmetry) and shared by every check that reads it."""
     if len(X.eta) != sys.n:
         raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
-    H = sys.hamiltonian
+    lift, H, X = _algebra(sys, X)
     out = -apply_operator(X, H) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
-        out += zeta * coord_deriv(i) + momentum(i) * total_derivative(eta)
-    return simplify(out)
+        out += zeta * lift(coord_deriv(i)) + lift(momentum(i)) * total_derivative(eta)
+    return simplify(out).as_expr()
 
 
 def check_invariance(
@@ -295,29 +312,31 @@ _SIDES = (("p", variational_derivative_p), ("q", variational_derivative_q))
 def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Difference of the two sides of the Hamiltonian identity; identically
     zero off-shell for every smooth H and point symmetry."""
-    H = sys.hamiltonian
     lhs = invariance_residual(sys, X)
+    lift, H, X = _algebra(sys, X)
+    lhs = lift(lhs)
     rhs = X.xi * (total_derivative(H) - partial_diff(H, TIME))
     boundary = -X.xi * H
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
-        rhs -= eta * (momentum_deriv(i) + partial_diff(H, coord(i)))
-        rhs += zeta * (coord_deriv(i) - partial_diff(H, momentum(i)))
-        boundary += momentum(i) * eta
+        rhs -= eta * (lift(momentum_deriv(i)) + partial_diff(H, coord(i)))
+        rhs += zeta * (lift(coord_deriv(i)) - partial_diff(H, momentum(i)))
+        boundary += lift(momentum(i)) * eta
     rhs += total_derivative(boundary)
-    return simplify(lhs - rhs)
+    return simplify(lhs - rhs).as_expr()
 
 
-def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list[sp.Expr]:
-    """X applied to the canonical equations, off-shell: D(eta^j) - dq_j*D(xi)
-    - X(dH/dp_j) for j = 1..n, then D(zeta_j) - dp_j*D(xi) + X(dH/dq^j)."""
-    H = sys.hamiltonian
+def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list:
+    """X applied to the canonical equations, off-shell and in the algebra of
+    (sys, X): D(eta^j) - dq_j*D(xi) - X(dH/dp_j) for j = 1..n, then
+    D(zeta_j) - dp_j*D(xi) + X(dH/dq^j)."""
+    lift, H, X = _algebra(sys, X)
     dxi = total_derivative(X.xi)
     p_side = [
-        total_derivative(X.eta[j - 1]) - coord_deriv(j) * dxi - apply_operator(X, partial_diff(H, momentum(j)))
+        total_derivative(X.eta[j - 1]) - lift(coord_deriv(j)) * dxi - apply_operator(X, partial_diff(H, momentum(j)))
         for j in range(1, sys.n + 1)
     ]
     q_side = [
-        total_derivative(X.zeta[j - 1]) - momentum_deriv(j) * dxi + apply_operator(X, partial_diff(H, coord(j)))
+        total_derivative(X.zeta[j - 1]) - lift(momentum_deriv(j)) * dxi + apply_operator(X, partial_diff(H, coord(j)))
         for j in range(1, sys.n + 1)
     ]
     return p_side + q_side
@@ -327,14 +346,14 @@ def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr,
     """Off-shell residuals of the variational-derivative identities,
     momentum side first (j=1..n), then coordinate side. Each right-hand side
     is +-(the direct condition) plus multiples of the canonical equations."""
-    H = sys.hamiltonian
     n = sys.n
-    residual = invariance_residual(sys, X)
-    conditions = _direct_conditions(sys, X)
+    residual, conditions = invariance_residual(sys, X), _direct_conditions(sys, X)
+    lift, H, X = _algebra(sys, X)
+    residual = lift(residual)
     dxi = total_derivative(X.xi)
     commutator = total_derivative(H) - partial_diff(H, TIME)
-    eq_q = [momentum_deriv(i) + partial_diff(H, coord(i)) for i in range(1, n + 1)]
-    eq_p = [coord_deriv(i) - partial_diff(H, momentum(i)) for i in range(1, n + 1)]
+    eq_q = [lift(momentum_deriv(i)) + partial_diff(H, coord(i)) for i in range(1, n + 1)]
+    eq_p = [lift(coord_deriv(i)) - partial_diff(H, momentum(i)) for i in range(1, n + 1)]
     out = []
     for side, vard in _SIDES:
         for j in range(1, n + 1):
@@ -345,7 +364,7 @@ def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr,
             rhs += partial_diff(X.xi, w) * commutator
             for i in range(n):
                 rhs += partial_diff(X.zeta[i], w) * eq_p[i] - partial_diff(X.eta[i], w) * eq_q[i]
-            out.append(simplify(vard(residual, j) - rhs))
+            out.append(simplify(vard(residual, j) - rhs).as_expr())
     return tuple(out)
 
 
@@ -368,7 +387,7 @@ def equation_invariance_direct(
     """Apply X directly to the canonical equations; 2n on-shell verdicts,
     momentum side first."""
     return tuple(
-        _zero(sys, on_shell(sys, condition), f"direct:{X.name}:{k}", seed, tol)
+        _zero(sys, on_shell(sys, condition.as_expr()), f"direct:{X.name}:{k}", seed, tol)
         for k, condition in enumerate(_direct_conditions(sys, X))
     )
 

@@ -2,6 +2,7 @@
 and determinism."""
 import json
 import math
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -257,6 +258,14 @@ class TestIdentityCheck:
         assert code == 1
         assert "lemma1" in out + err  # reproducer names the failing identity
 
+    def test_corrupt_hook_detected_n3(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "identity-check", "--n", "3", "--degree", "3", "--count", "2", "--corrupt",
+        )
+        assert code == 1 and payload["identity"]["passed"] is False
+        lemma1 = payload["identity"]["cases"][0]["lemma1"]
+        assert lemma1["status"] == "nonzero" and lemma1["witness"]
+
     def test_bad_dimension(self, capsys):
         code, _, err = run(capsys, "identity-check", "--n", "0")
         assert code == 2
@@ -274,6 +283,16 @@ class TestIdentityCheck:
             "verify-example1-q1p1-seed42.json",
             id="verify-example1-q1p1",
         ),
+    ]
+    + [
+        # the two inputs of the identity-n3 benchmark, and a corrupted run
+        # whose nonzero witnesses must keep their bytes
+        pytest.param(
+            ["identity-check", "--n", "3", "--degree", "3", "--count", "10", "--seed", seed, *extra],
+            f"identity-n3-seed{seed}{suffix}.json",
+            id=f"identity-n3-seed{seed}{suffix}",
+        )
+        for seed, extra, suffix in (("0", [], ""), ("1", [], ""), ("0", ["--corrupt"], "-corrupt"))
     ],
 )
 def test_check_json_matches_golden_bytes(capsys, argv, golden):
@@ -327,6 +346,14 @@ class TestExitCodes:
         # an unknown example is covered by TestCheck::test_unknown_example
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err
+
+    def test_oversized_trajectory_fails_before_the_report(self, capsys):
+        # kepler3's symbolic report takes seconds; the size check comes first
+        start = time.perf_counter()
+        code, _, err = run(capsys, "simulate", "--example", "kepler3", "--state", "1,0,0,0,1,0.2", "--h=1e-300")
+        elapsed = time.perf_counter() - start
+        assert code == 2 and "steps" in err and "Traceback" not in err
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
     @pytest.mark.parametrize(
         "argv",

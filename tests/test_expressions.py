@@ -18,6 +18,7 @@ from hamsym.expressions import (
     evaluate,
     is_zero,
     jet_order,
+    jet_ring,
     momentum,
     momentum_deriv,
     partial_diff,
@@ -105,6 +106,35 @@ class TestTotalDerivative:
             e2 = random_polynomial([TIME, q, p], 3, rng)
             diff = total_derivative(e1 * e2) - e1 * total_derivative(e2) - e2 * total_derivative(e1)
             assert simplify(diff) == 0
+
+
+class TestJetRing:
+    """partial_diff, total_derivative and simplify on jet-ring elements agree
+    with the same operations on Expr."""
+
+    def test_derivatives_agree_with_expr(self):
+        ring = jet_ring(1)
+        rng = Random(13)
+        for _ in range(10):
+            e = random_polynomial([TIME, q, p, dq, dp], 3, rng)
+            element = ring.from_expr(e)
+            for s in (TIME, q, p, dq, coord_deriv(1, 2), sp.Symbol("k", real=True)):
+                assert partial_diff(element, s).as_expr() == simplify(partial_diff(e, s))
+            assert total_derivative(element).as_expr() == simplify(total_derivative(e))
+
+    def test_jet_order(self):
+        ring = jet_ring(2)
+        assert jet_order(ring.from_expr(TIME * coord(2))) == 0
+        assert jet_order(total_derivative(ring.from_expr(dq * q))) == 2
+        assert jet_order(ring.zero) == 0
+
+    def test_rejects_second_order_input(self):
+        with pytest.raises(JetOrderError):
+            total_derivative(jet_ring(1).from_expr(coord_deriv(1, 2) * q))
+
+    def test_simplify_keeps_element(self):
+        element = jet_ring(1).from_expr(q**2 - p)
+        assert simplify(element) is element
 
 
 class TestSimplify:

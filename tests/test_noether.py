@@ -1,8 +1,11 @@
 """Invariance checks, divergence terms, first integrals and the off-shell
 identities, exercised on the built-in example systems."""
+from random import Random
+
 import pytest
 import sympy as sp
 
+import hamsym.noether
 from hamsym.expressions import (
     TIME,
     Verdict,
@@ -14,6 +17,7 @@ from hamsym.expressions import (
     simplify,
     total_derivative,
 )
+from hamsym.identity import random_pair
 from hamsym.noether import (
     InvarianceError,
     build_report,
@@ -246,6 +250,41 @@ class TestLemmas:
     def test_lemma2_zero_symmetry(self, example1):
         X0 = PointSymmetry("Z", sp.Integer(0), (sp.Integer(0),), (sp.Integer(0),))
         assert all(r == 0 for r in lemma2_residuals(example1.system, X0))
+
+
+def _exact(sys, X):
+    lift, _, _ = hamsym.noether._algebra(sys, X)
+    return lift is not sp.sympify
+
+
+def test_algebra_choice(example1, kepler3):
+    translation = PointSymmetry("T", sp.Integer(1), (sp.Integer(0),), (sp.Integer(0),))
+    assert _exact(FREE_PARTICLE, translation)
+    assert not _exact(FREE_PARTICLE, PointSymmetry("F", sp.Integer(1), (sp.Float(0.5) * q,), (sp.Integer(0),)))
+    assert not _exact(example1.system, example1.symmetry("X1"))  # 1/q1^2
+    assert not _exact(kepler3.system, kepler3.symmetry("X0"))  # the parameter K and a radical
+
+
+def _residual_and_conditions(sys, X):
+    conditions = [simplify(c.as_expr()) for c in hamsym.noether._direct_conditions(sys, X)]
+    return [simplify(invariance_residual(sys, X)), *conditions]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ring_and_expr_algebras_agree(n, monkeypatch):
+    rng = Random(n)
+    pairs = [random_pair(n, 3, rng) for _ in range(4)]
+    memos = (hamsym.noether._algebra, invariance_residual)
+    for memo in memos:
+        memo.cache_clear()
+    assert all(_exact(sys, X) for sys, X in pairs)
+    ring = [_residual_and_conditions(sys, X) for sys, X in pairs]
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(hamsym.noether, "_algebra", lambda sys, X: (sp.sympify, sys.hamiltonian, X))
+    expr = [_residual_and_conditions(sys, X) for sys, X in pairs]
+    invariance_residual.cache_clear()
+    assert ring == expr
 
 
 class TestEquationInvariance:
