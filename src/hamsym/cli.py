@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 
@@ -48,10 +49,21 @@ EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
 
+def _positive_float(raw: str) -> float:
+    """argparse type of --tol and --modulo: a NaN tolerance passes every
+    comparison and a zero period folds drift into NaN."""
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_source: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, metavar="U64", help="seed for numeric verdicts")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="FLOAT", help="zero-test tolerance")
+    parser.add_argument(
+        "--tol", type=_positive_float, default=DEFAULT_TOL, metavar="FLOAT", help="zero-test tolerance"
+    )
     if needs_source:
         source = parser.add_mutually_exclusive_group()
         source.add_argument("--example", metavar="NAME", help="built-in example system")
@@ -84,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--csv", metavar="PATH", help="dump the trajectory as CSV")
-    p.add_argument("--modulo", type=float, help="fold drift onto this period (angle-valued integrals)")
+    p.add_argument("--modulo", type=_positive_float, help="fold drift onto this period (angle-valued integrals)")
 
     p = sub.add_parser("identity-check", help="test the off-shell identities on random data")
     _add_common(p, needs_source=False)
@@ -103,7 +115,11 @@ def _load(args) -> SystemDefinition:
         return load_example(args.example)
     if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
-            return parse_system_file(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise HamsymError(f"{args.file} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        return parse_system_file(text)
     raise HamsymError("one of --example or --file is required")
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
-from .expressions import SINGULAR_ERRORS, TIME, compile_tuple, coord, finite_real, momentum, symbol_info
+from .expressions import SINGULAR_ERRORS, compile_tuple, finite_real, state_symbols, symbol_info
 from .noether import canonical_equations
 from .systems import FirstIntegral, HamiltonianSystem, HamsymError
 
@@ -84,8 +84,7 @@ def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = N
             if info[0] in "qp" and info[1] > n:
                 raise HamsymError(f"{s} outside dimension {n}")
         bound.append(e)
-    args = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
-    return bound, compile_tuple(args, bound, array)
+    return bound, compile_tuple(state_symbols(n), bound, array)
 
 
 def compile_expression(e: sp.Expr, n: int, sys: HamiltonianSystem | None = None) -> CompiledFunction:

@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -44,8 +44,10 @@ __all__ = [
     "total_derivative",
     "simplify",
     "finite_real",
+    "state_symbols",
     "compile_tuple",
     "evaluate",
+    "draw_samples",
     "is_zero",
     "sample_point",
     "random_polynomial",
@@ -74,8 +76,6 @@ SAMPLE_LOW = 0.1
 SAMPLE_HIGH = 2.0
 MAX_SAMPLE_ATTEMPTS = 1000
 SINGULAR_GUARD = 0.05
-# sampling evaluates the same expressions at many points
-COMPILE_CACHE_SIZE = 512
 
 _JET_RE = re.compile(r"^(d{0,2})([qp])([1-9][0-9]*)$")
 
@@ -153,13 +153,19 @@ def jet_order(e: sp.Expr | PolyElement) -> int:
     return order
 
 
+def state_symbols(n: int) -> tuple[sp.Symbol, ...]:
+    """The state layout of dimension n: (t, q1..qn, p1..pn)."""
+    indices = range(1, n + 1)
+    return (TIME, *map(coord, indices), *map(momentum, indices))
+
+
 @lru_cache(maxsize=4)
 def jet_ring(n: int) -> PolyRing:
-    """The polynomial ring over QQ in t and the jet symbols of dimension n up
-    to order 2; its generators are the same Symbol objects."""
+    """The polynomial ring over QQ in the state symbols and the jet symbols
+    of dimension n up to order 2; its generators are the same Symbol objects."""
     indices = range(1, n + 1)
     jets = [maker(i, order) for order in (1, 2) for maker in (coord_deriv, momentum_deriv) for i in indices]
-    return PolyRing([TIME, *map(coord, indices), *map(momentum, indices), *jets], QQ)
+    return PolyRing([*state_symbols(n), *jets], QQ)
 
 
 def _jet_view(e):
@@ -286,17 +292,12 @@ def compile_tuple(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr], array: bo
     return sp.lambdify(args, tuple(exprs), modules=modules, printer=printer, cse=True)
 
 
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compiled(e: sp.Expr, args: tuple[sp.Symbol, ...]):
-    return compile_tuple(args, (e,))
-
-
 def evaluate(e: sp.Expr, bindings: Mapping[sp.Symbol, float]) -> float:
     """Value of `e` on Python floats; raises instead of giving a singular value."""
     e = sp.sympify(e)
-    args = tuple(sorted(e.free_symbols, key=lambda s: s.name))
+    args = sorted(e.free_symbols, key=lambda s: s.name)
     try:
-        (value,) = _compiled(e, args)(*(float(bindings[s]) for s in args))
+        (value,) = compile_tuple(args, (e,))(*(float(bindings[s]) for s in args))
     except KeyError as exc:
         raise UnboundSymbolError(exc.args[0]) from None
     except SINGULAR_ERRORS as exc:
@@ -340,42 +341,47 @@ class Verdict:
         return out
 
 
+def draw_samples(
+    symbols: Iterable[sp.Symbol],
+    exprs: Sequence[sp.Expr],
+    rng: Random,
+    singular: Iterable[sp.Expr] = (),
+    attempts: int = MAX_SAMPLE_ATTEMPTS,
+) -> Generator[tuple[dict[sp.Symbol, float], tuple], bool | None, None]:
+    """The one sampling loop. Draws points componentwise from
+    [-2,-0.1] u [0.1,2] over `symbols` and every symbol of the guards in
+    `singular` and of `exprs`, in name order, and yields each admissible point
+    with the values of `exprs` there. Guards and expressions are compiled as
+    one tuple. A draw is rejected when a guard is below SINGULAR_GUARD in
+    magnitude or any value is singular; the caller rejects a yielded draw by
+    sending True. The generator ends after `attempts` rejected draws."""
+    guards = [sp.sympify(g) for g in singular]
+    exprs = [sp.sympify(e) for e in exprs]
+    args = sorted(set(symbols).union(*(e.free_symbols for e in (*guards, *exprs))), key=lambda s: s.name)
+    values_at = compile_tuple(args, (*guards, *exprs))
+    rejected = 0
+    while rejected < attempts:
+        point = {s: rng.choice((-1.0, 1.0)) * rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for s in args}
+        try:
+            values = values_at(*point.values())
+            admissible = finite_real(values) and all(abs(g) >= SINGULAR_GUARD for g in values[: len(guards)])
+        except SINGULAR_ERRORS:
+            admissible = False
+        if admissible and not (yield point, values[len(guards) :]):
+            continue
+        rejected += 1
+
+
 def sample_point(
     symbols: Iterable[sp.Symbol],
     rng: Random,
     singular: Iterable[sp.Expr] = (),
     max_attempts: int = MAX_SAMPLE_ATTEMPTS,
 ) -> dict[sp.Symbol, float]:
-    """Draw componentwise from [-2,-0.1] u [0.1,2], rejecting points near
-    declared singularities."""
-    singular = list(singular)
-    drawn = set(symbols)
-    for g in singular:
-        drawn |= g.free_symbols  # guards must be evaluable even when the
-        # expression itself doesn't mention all of their symbols
-    symbols = sorted(drawn, key=lambda s: s.name)
-    for _ in range(max_attempts):
-        point = {
-            s: rng.choice((-1.0, 1.0)) * rng.uniform(SAMPLE_LOW, SAMPLE_HIGH)
-            for s in symbols
-        }
-        try:
-            if any(abs(evaluate(g, point)) < SINGULAR_GUARD for g in singular):
-                continue
-        except (SingularEvaluationError, UnboundSymbolError):
-            continue
+    """The first admissible point of `draw_samples` with no values asked for."""
+    for point, _ in draw_samples(symbols, (), rng, singular, max_attempts):
         return point
     raise SamplingError(f"no admissible sample point after {max_attempts} attempts")
-
-
-def _magnitude_scale(terms: list[sp.Expr], point: Mapping[sp.Symbol, float]) -> float:
-    scale = 0.0
-    for term in terms:
-        try:
-            scale += abs(evaluate(term, point))
-        except SingularEvaluationError:
-            continue
-    return scale
 
 
 def is_zero(
@@ -397,31 +403,25 @@ def is_zero(
     free = simplified.free_symbols
     if not free:
         return Verdict(Verdict.NONZERO, witness={}, value=float(simplified))
-    terms = list(sp.Add.make_args(sp.expand(simplified)))
-    rng = Random(seed)
-    singular = list(singular)
-    sampled = 0
-    attempts_left = MAX_SAMPLE_ATTEMPTS
-    while sampled < points and attempts_left > 0:
+    terms = sp.Add.make_args(sp.expand(simplified))
+    draws = draw_samples(free, (simplified, *terms), Random(seed), singular)
+    sampled, rejected = 0, None
+    while sampled < points:
         try:
-            point = sample_point(free, rng, singular, max_attempts=attempts_left)
-        except SamplingError:
+            point, (value, *term_values) = draws.send(rejected)
+        except StopIteration:
             break
-        try:
-            value = evaluate(simplified, point)
-        except SingularEvaluationError:
-            attempts_left -= 1
-            continue
-        bound = tol * (1.0 + _magnitude_scale(terms, point))
+        rejected = False
+        bound = tol * (1.0 + sum(map(abs, term_values)))
         if abs(value) > bound:
             # confirm a float nonzero at 50 digits before reporting it
             exact = simplified.evalf(50, subs=point)
             if not (exact.is_real and exact.is_finite):
-                attempts_left -= 1
+                rejected = True
                 continue
             if abs(exact) > bound:
-                witness = {s.name: v for s, v in sorted(point.items(), key=lambda kv: kv[0].name)}
-                return Verdict(Verdict.NONZERO, witness=witness, value=value)
+                witness = {s.name: v for s, v in point.items()}
+                return Verdict(Verdict.NONZERO, witness=witness, value=float(value))
         sampled += 1
     if sampled == 0:
         return Verdict(Verdict.INCONCLUSIVE)
@@ -429,7 +429,7 @@ def is_zero(
 
 
 def random_polynomial(
-    symbols: list[sp.Symbol],
+    symbols: Sequence[sp.Symbol],
     degree: int,
     rng: Random,
     terms: int = 6,

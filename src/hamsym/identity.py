@@ -13,15 +13,14 @@ import sympy as sp
 
 from .expressions import (
     DEFAULT_TOL,
-    TIME,
     Verdict,
-    coord,
     coord_deriv,
     derive_seed,
     is_zero,
     momentum,
     partial_diff,
     random_polynomial,
+    state_symbols,
 )
 from .noether import lemma1_residual, lemma2_residuals
 from .systems import HamiltonianSystem, HamsymError, PointSymmetry
@@ -81,7 +80,7 @@ class IdentityReport:
 def random_pair(n: int, degree: int, rng: Random) -> tuple[HamiltonianSystem, PointSymmetry]:
     """A random polynomial Hamiltonian of the given degree and a random
     point symmetry with polynomial coefficients of degree <= 2."""
-    symbols = [TIME, *(coord(i) for i in range(1, n + 1)), *(momentum(i) for i in range(1, n + 1))]
+    symbols = state_symbols(n)
     coeff_degree = min(degree, 2)
     sys = HamiltonianSystem(n=n, hamiltonian=random_polynomial(symbols, degree, rng))
     X = PointSymmetry(

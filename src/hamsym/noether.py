@@ -8,6 +8,7 @@ All verdicts are seeded and deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from random import Random
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -19,20 +20,19 @@ from .expressions import (
     DEFAULT_TOL,
     TIME,
     SamplingError,
-    SingularEvaluationError,
     Verdict,
     coord,
     coord_deriv,
     derive_seed,
-    evaluate,
+    draw_samples,
     is_zero,
     jet_order,
     jet_ring,
     momentum,
     momentum_deriv,
     partial_diff,
-    sample_point,
     simplify,
+    state_symbols,
     total_derivative,
 )
 from .systems import (
@@ -76,7 +76,9 @@ class InvarianceError(HamsymError):
 
 
 def _phase_symbols(n: int):
-    return [coord(i) for i in range(1, n + 1)], [momentum(i) for i in range(1, n + 1)]
+    """(q1..qn), (p1..pn) of the state layout."""
+    state = state_symbols(n)
+    return state[1 : n + 1], state[n + 1 :]
 
 
 def _zero(sys: HamiltonianSystem, e: sp.Expr, label: str, seed: int, tol: float) -> Verdict:
@@ -193,8 +195,7 @@ def find_divergence_term(
     if decomposition is None:
         return "not-synthesizable", None
     a, b, c = decomposition
-    qs, ps = _phase_symbols(sys.n)
-    variables = [TIME, *qs, *ps]
+    variables = state_symbols(sys.n)
     gradient = [a, *b, *c]
     for i in range(len(variables)):
         for j in range(i + 1, len(variables)):
@@ -206,11 +207,11 @@ def find_divergence_term(
                 return "not-synthesizable", None
     if not all(g.is_polynomial(*variables) for g in gradient):
         return "not-synthesizable", None
-    s = sp.Dummy("s")
-    scaled = {z: s * z for z in variables}
+    # the homotopy V = int_0^1 z.g(s*z) ds: a degree-d monomial of g integrates to 1/(d + 1)
     v = sp.Integer(0)
     for z, g in zip(variables, gradient):
-        v += sp.integrate(sp.expand(z * g.xreplace(scaled)), (s, 0, 1))
+        for degrees, coefficient in sp.Poly(g, *variables).terms():
+            v += coefficient * z * sp.Mul(*(x**d for x, d in zip(variables, degrees))) / (sum(degrees) + 1)
     v = simplify(v)
     if not _zero(sys, residual - total_derivative(v), f"divsynth:{X.name}", seed, tol).is_zero:
         return "not-synthesizable", None
@@ -433,31 +434,17 @@ def functional_independence(
     tol * max(1, largest |entry|) count as zero."""
     if not integrals:
         raise HamsymError("need at least one integral")
-    qs, ps = _phase_symbols(sys.n)
-    variables = [*qs, *ps]
-    jacobian = [
-        [sys.bind(partial_diff(sys.bind(integral.expression), z)) for z in variables]
-        for integral in integrals
-    ]
-    sample_symbols = {TIME, *variables}
-    for row in jacobian:
-        for entry in row:
-            sample_symbols |= entry.free_symbols
-    rng = Random(derive_seed(seed, "independence"))
-    best = sampled = attempts = 0
-    while sampled < points and attempts < 200:
-        attempts += 1
-        try:
-            point = sample_point(sample_symbols, rng, sys.bound_singularities)
-            rows = np.array([[evaluate(entry, point) for entry in row] for row in jacobian])
-        except (SamplingError, SingularEvaluationError):
-            continue
-        sampled += 1
+    state = state_symbols(sys.n)
+    jacobian = [partial_diff(sys.bind(integral.expression), z) for integral in integrals for z in state[1:]]
+    draws = draw_samples(state, jacobian, Random(derive_seed(seed, "independence")), sys.bound_singularities)
+    ranks = []
+    for _, values in islice(draws, points):
+        rows = np.array(values, dtype=float).reshape(len(integrals), -1)
         threshold = tol * max(1.0, float(np.abs(rows).max()))
-        best = max(best, int(np.linalg.matrix_rank(rows, tol=threshold)))
-    if sampled == 0:
+        ranks.append(int(np.linalg.matrix_rank(rows, tol=threshold)))
+    if not ranks:
         raise SamplingError("could not sample any non-singular point for the Jacobian")
-    return best
+    return max(ranks)
 
 
 def build_report(

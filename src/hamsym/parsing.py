@@ -14,15 +14,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .expressions import (
-    FUNCTIONS,
-    TIME,
-    coord,
-    coord_deriv,
-    momentum,
-    momentum_deriv,
-    parameter,
-)
+from .expressions import FUNCTIONS, parameter, symbol_info
 from .systems import (
     HamiltonianSystem,
     HamsymError,
@@ -76,9 +68,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_JET_IDENT_RE = re.compile(r"^(d{1,2})([qp])([0-9]+)$")
-_VAR_IDENT_RE = re.compile(r"^([qp])([0-9]+)$")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -191,31 +180,19 @@ class _Parser:
         raise ParseError(f"expected an expression, found {text or 'end of input'!r}", pos)
 
     def identifier(self, name: str, pos: int) -> sp.Expr:
-        if name == "t":
-            return TIME
-        m = _VAR_IDENT_RE.match(name)
-        if m:
-            index = self.check_index(m.group(2), pos)
-            return coord(index) if m.group(1) == "q" else momentum(index)
-        m = _JET_IDENT_RE.match(name)
-        if m:
-            if not self.ctx.allow_jet:
-                raise ParseError(f"jet symbol {name!r} not allowed here", pos)
-            index = self.check_index(m.group(3), pos)
-            order = len(m.group(1))
-            maker = coord_deriv if m.group(2) == "q" else momentum_deriv
-            return maker(index, order)
-        if name in self.ctx.parameters:
-            return parameter(name)
-        raise ParseError(f"unknown identifier {name!r}", pos)
-
-    def check_index(self, digits: str, pos: int) -> int:
-        if digits.startswith("0"):
-            raise ParseError(f"invalid index {digits!r}", pos)
-        index = int(digits)
-        if not 1 <= index <= self.ctx.n:
+        # a reserved name is the jet symbol of the same name
+        symbol = sp.Symbol(name, real=True)
+        info = symbol_info(symbol)
+        if info is None:
+            if name in self.ctx.parameters:
+                return parameter(name)
+            raise ParseError(f"unknown identifier {name!r}", pos)
+        kind, index, order = info
+        if order > 0 and not self.ctx.allow_jet:
+            raise ParseError(f"jet symbol {name!r} not allowed here", pos)
+        if kind != "t" and not 1 <= index <= self.ctx.n:
             raise ParseError(f"index {index} out of range 1..{self.ctx.n}", pos)
-        return index
+        return symbol
 
 
 def parse_expression(text: str, ctx: ParseContext) -> sp.Expr:
@@ -341,7 +318,10 @@ def _parse_rational(raw: str, path: str) -> Fraction:
     m = _RATIONAL_RE.match(raw)
     if not m:
         raise SchemaError(f"expected integer or rational, found {raw!r}", path)
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    denominator = int(m.group(2) or 1)
+    if denominator == 0:
+        raise SchemaError(f"zero denominator in {raw!r}", path)
+    return Fraction(int(m.group(1)), denominator)
 
 
 def _split_top_level(body: str) -> list[str]:

@@ -364,6 +364,46 @@ class TestExitCodes:
             main(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--example", "example1", "q1", "--tol", "nan"),
+            ("verify", "--example", "example1", "q1", "--tol", "inf"),
+            ("verify", "--example", "example1", "q1", "--tol=-1e-9"),
+            ("simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--modulo", "0"),
+            ("simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--modulo", "nan"),
+        ],
+    )
+    def test_tolerance_and_period_must_be_positive_and_finite(self, capsys, argv):
+        # a NaN tolerance passed every sample and a zero period gave NaN drift
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "positive and finite" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes('[system]\nn = 1\nhamiltonian = "p1^2"  # \u00e9nergie\n'.encode("latin-1"))
+        code, _, err = run(capsys, "check", "--file", str(path))
+        assert code == 2 and "UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '[system]\nn = 1\nhamiltonian = "K*p1^2"\nparameters = { K = 1/0 }\n',
+            '[system]\nn = 1\nhamiltonian = "p1^2/2"\n'
+            '[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
+            '[[relation]]\nname = "r"\nexpr = "A"\nequals = 1/0\n',
+        ],
+        ids=["parameter", "equals"],
+    )
+    def test_zero_denominator_exits_2(self, capsys, tmp_path, source):
+        path = tmp_path / "zero.txt"
+        path.write_text(source)
+        code, _, err = run(capsys, "check", "--file", str(path))
+        assert code == 2 and "zero denominator" in err and "Traceback" not in err
+
     def test_reserved_parameter_exits_2(self, capsys, tmp_path):
         path = tmp_path / "reserved.txt"
         path.write_text('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { t = 1 }\n')

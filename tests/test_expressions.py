@@ -6,7 +6,9 @@ from random import Random
 import pytest
 import sympy as sp
 
+import hamsym.expressions
 from hamsym.expressions import (
+    MAX_SAMPLE_ATTEMPTS,
     TIME,
     JetOrderError,
     SingularEvaluationError,
@@ -239,6 +241,35 @@ class TestIsZero:
         a = is_zero(sp.sin(TIME) ** 2 + sp.cos(TIME) ** 2 - 1, seed=5)
         b = is_zero(sp.sin(TIME) ** 2 + sp.cos(TIME) ** 2 - 1, seed=5)
         assert a == b
+
+    def test_one_budget_per_verdict(self, monkeypatch):
+        # the guard admits only |q| >= 1.975, about one draw in 76, so 32
+        # points would take some 2400 draws; every rejected draw of the
+        # verdict is charged to the one budget instead
+        draws = []
+
+        class CountingRandom(Random):
+            def uniform(self, a, b):
+                draws.append(1)
+                return super().uniform(a, b)
+
+        monkeypatch.setattr(hamsym.expressions, "Random", CountingRandom)
+        verdict = is_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1, singular=(2 * q / 79,), seed=3)
+        assert verdict.status == Verdict.NUMERIC and 0 < verdict.points < 32
+        assert len(draws) == MAX_SAMPLE_ATTEMPTS + verdict.points
+
+    def test_one_compile_per_sampled_verdict(self, monkeypatch):
+        # the guards, the expression and its additive terms form one tuple
+        compiled = []
+        original = hamsym.expressions.compile_tuple
+
+        def counted(*args, **kwargs):
+            compiled.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hamsym.expressions, "compile_tuple", counted)
+        verdict = is_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1, singular=(q, p))
+        assert verdict.status == Verdict.NUMERIC and len(compiled) == 1
 
 
 class TestSamplePoint:

@@ -82,6 +82,12 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_expression("dq1", ParseContext(n=1, allow_jet=False))
 
+    @pytest.mark.parametrize("text", ["ddp1", "dq01", "ddq3", "dddq1", "q0", "t1"])
+    def test_jet_grammar(self, text):
+        # order-2 jets are forbidden here; the rest are bad names or indices
+        with pytest.raises(ParseError):
+            parse_expression(text, ParseContext(n=2, allow_jet=False))
+
     def test_undeclared_parameter(self):
         with pytest.raises(ParseError):
             parse_expression("K*q1", CTX1)
@@ -278,3 +284,21 @@ class TestSystemFile:
     def test_reserved_parameter_name(self):
         with pytest.raises(SchemaError):
             parse_system_file('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { t = 1 }\n')
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('[system]\nn = 1\nhamiltonian = "K*p1^2"\nparameters = { K = 1/0 }\n', "system.parameters.K"),
+            (
+                '[system]\nn = 1\nhamiltonian = "p1^2/2"\n'
+                '[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
+                '[[relation]]\nname = "r"\nexpr = "A"\nequals = 1/0\n',
+                "relation.equals",
+            ),
+        ],
+        ids=["parameter", "equals"],
+    )
+    def test_zero_denominator(self, text, path):
+        with pytest.raises(SchemaError) as info:
+            parse_system_file(text)
+        assert info.value.path == path and "zero denominator" in str(info.value)
