@@ -5,7 +5,9 @@ State layout everywhere is the flat vector (t, q1..qn, p1..pn).
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -135,20 +137,10 @@ class Trajectory:
 
 
 def _rhs_function(sys: HamiltonianSystem):
-    """The canonical right-hand side as one call on a list of floats."""
+    """The canonical right-hand side as one compiled tuple function of
+    (t, q1..qn, p1..pn)."""
     qdot, pdot = canonical_equations(sys)
-    _, fn = _compile((*qdot, *pdot), sys.n, sys)
-
-    def rhs(t: float, y: list[float]) -> tuple[float, ...]:
-        try:
-            k = fn(t, *y)
-        except SINGULAR_ERRORS as exc:
-            raise SingularityAbort(f"singular evaluation of the canonical equations: {exc}", t) from None
-        if not finite_real(k):
-            raise SingularityAbort("non-finite value of the canonical equations", t)
-        return k
-
-    return rhs
+    return _compile((*qdot, *pdot), sys.n, sys)[1]
 
 
 def allocate_trajectory(config: IntegratorConfig, n: int) -> Trajectory:
@@ -166,57 +158,134 @@ def allocate_trajectory(config: IntegratorConfig, n: int) -> Trajectory:
 def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Advance the canonical equations with the configured fixed-step method.
 
-    The stages run on lists of Python floats, elementwise in the same order
-    of operations as the array expressions they stand for.
+    The loop is generated for the method and the state dimension, and runs
+    on local Python floats, in the same order of operations as the array
+    expressions each stage stands for.
     """
     y = np.asarray(state0, dtype=float)
     if y.shape != (2 * sys.n,):
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
     rhs = _rhs_function(sys)
     trajectory = allocate_trajectory(config, sys.n)
-    times, states, h = trajectory.times, trajectory.states, config.step
-    states[0] = y
-    y = y.tolist()
-    step = _rk4_increment if config.method == "rk4" else _midpoint_increment
-    # compensated (Kahan) accumulation of the state: long runs otherwise
-    # accumulate a rounding random walk that masks the methods' conservation
-    carry = [0.0] * len(y)
-    for k in range(config.steps):
-        t = float(times[k])
-        increment = [d - c for d, c in zip(step(rhs, t, y, h, config), carry)]
-        updated = [a + d for a, d in zip(y, increment)]
-        carry = [(u - a) - d for u, a, d in zip(updated, y, increment)]
-        y = updated
-        if not finite_real(y):
-            raise SingularityAbort("non-finite state", t)
-        states[k + 1] = y
+    trajectory.states[0] = y
+    with memoryview(trajectory.times) as times, memoryview(trajectory.states.reshape(-1)) as states:
+        _loop(config.method, 2 * sys.n)(rhs, times, states, y.tolist(), config.step, config)
     return trajectory
 
 
-def _rk4_increment(rhs, t, y, h, config) -> list[float]:
+# One checked evaluation of the right-hand side `fn` at the stage time ts: a
+# raised singular error or a complex or non-finite value aborts at that time.
+_STAGE = """\
+try:
+    {ks}, = fn(ts, {args})
+except SINGULAR_ERRORS as exc:
+    raise SingularityAbort(f"singular evaluation of the canonical equations: {{exc}}", ts) from None
+try:
+    finite = {finite}
+except (TypeError, OverflowError):
+    finite = False
+if not finite:
+    raise SingularityAbort("non-finite value of the canonical equations", ts)
+"""
+
+# The fixed-step loop; {increment} sets d0..d{m-1}, the method's step before
+# the compensated (Kahan) update of the state: long runs otherwise accumulate
+# a rounding random walk that masks the methods' conservation.
+_LOOP = """\
+def loop(fn, times, states, y, h, config):
+    {ys}, = y
+    {cs} = 0.0
     half = h / 2
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
     sixth = h / 6
-    return [sixth * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
+    tol = config.fixed_point_tol
+    max_iter = config.fixed_point_max_iter
+    row = {m}
+    for k in range(config.steps):
+        t = times[k]
+{increment}
+{update}
+        if not ({state_finite}):
+            raise SingularityAbort("non-finite state", t)
+{store}
+        row += {m}
+"""
+
+_MIDPOINT_ITERATION = """\
+for _ in range(max_iter):
+{stage}
+    delta = max({deltas})
+    {ks} = {nexts}
+    if delta <= tol:
+        break
+else:
+    raise IntegrationError(f"implicit midpoint did not converge within {{max_iter}} iterations at t={{t!r}}")
+"""
 
 
-def _midpoint_increment(rhs, t, y, h, config) -> list[float]:
-    """Implicit midpoint via fixed-point iteration on the stage value."""
-    half = h / 2
-    tm = t + half
-    k = rhs(tm, y)
-    for _ in range(config.fixed_point_max_iter):
-        k_next = rhs(tm, [a + half * b for a, b in zip(y, k)])
-        delta = max(abs(a - b) for a, b in zip(k_next, k))
-        k = k_next
-        if delta <= config.fixed_point_tol:
-            return [h * b for b in k]
-    raise IntegrationError(
-        f"implicit midpoint did not converge within {config.fixed_point_max_iter} iterations at t={t!r}"
+@lru_cache(maxsize=None)
+def _loop(method: str, m: int):
+    """The integrator loop of `method` over a state of m floats, generated
+    from the templates above, as a function of the compiled right-hand side,
+    memoryviews of the times and of the flattened states, the initial state
+    as a list, the step h and the config."""
+    idx = range(m)
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in idx]
+
+    def stage(ks, args):
+        finite = " and ".join(f"isfinite({k})" for k in ks)
+        return _STAGE.format(ks=", ".join(ks), args=", ".join(args), finite=finite)
+
+    y = names("y")
+
+    def shifted(scale, ks):
+        return [f"{a} + {scale} * {b}" for a, b in zip(y, ks)]
+
+    if method == "rk4":
+        k1, k2, k3, k4 = (names(f"k{j}_") for j in (1, 2, 3, 4))
+        increment = "".join(
+            (
+                "ts = t\n",
+                stage(k1, y),
+                "ts = t + half\n",
+                stage(k2, shifted("half", k1)),
+                stage(k3, shifted("half", k2)),
+                "ts = t + h\n",
+                stage(k4, shifted("h", k3)),
+                *(f"d{i} = sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})\n" for i in idx),
+            )
+        )
+    else:
+        # implicit midpoint by fixed-point iteration on the stage value
+        ks, nexts = names("k"), names("n")
+        iteration = _MIDPOINT_ITERATION.format(
+            stage=textwrap.indent(stage(nexts, shifted("half", ks)), "    "),
+            deltas=", ".join(f"abs({a} - {b})" for a, b in zip(nexts, ks)),
+            ks=", ".join(ks),
+            nexts=", ".join(nexts),
+        )
+        increment = "".join(
+            ("ts = t + half\n", stage(ks, y), iteration, *(f"d{i} = h * {k}\n" for i, k in zip(idx, ks)))
+        )
+    update = "".join(f"d{i} = d{i} - c{i}\nu = y{i} + d{i}\nc{i} = (u - y{i}) - d{i}\ny{i} = u\n" for i in idx)
+    source = _LOOP.format(
+        m=m,
+        ys=", ".join(y),
+        cs=" = ".join(names("c")),
+        increment=textwrap.indent(increment, " " * 8),
+        update=textwrap.indent(update, " " * 8),
+        state_finite=" and ".join(f"isfinite({a})" for a in y),
+        store="".join(f"        states[row + {i}] = y{i}\n" for i in idx),
     )
+    namespace = {
+        "SINGULAR_ERRORS": SINGULAR_ERRORS,
+        "SingularityAbort": SingularityAbort,
+        "IntegrationError": IntegrationError,
+        "isfinite": math.isfinite,
+    }
+    exec(compile(source, f"<hamsym {method} loop, m={m}>", "exec"), namespace)
+    return namespace["loop"]
 
 
 @dataclass(frozen=True)

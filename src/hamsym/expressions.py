@@ -395,8 +395,11 @@ def is_zero(
     """Two-tier zero test: canonical-form proof, then seeded numeric sampling.
 
     The numeric tolerance is relative to the magnitude of the expression's
-    additive terms at each point, so cancellations of large terms count.
+    additive terms at each point, so cancellations of large terms count. It
+    must be positive and finite: no value exceeds a NaN or infinite bound.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ExpressionError(f"tolerance must be positive and finite, got {tol!r}")
     simplified = simplify(e)
     if simplified == 0:
         return Verdict(Verdict.PROVEN)

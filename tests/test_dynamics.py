@@ -1,5 +1,6 @@
 """Compiled evaluation, fixed-step integration, drift and order estimates."""
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -8,9 +9,11 @@ import sympy as sp
 
 from hamsym.dynamics import (
     DRIFT_BLOCK,
+    METHODS,
     IntegrationError,
     IntegratorConfig,
     SingularityAbort,
+    _loop,
     _rhs_function,
     _values_along,
     compile_expression,
@@ -88,7 +91,7 @@ class TestCompile:
             point = sample_point(symbols, rng)
             state = [point[s] for s in symbols]
             t = rng.uniform(-2.0, 2.0)
-            for a, f in zip(fused(t, state), separate):
+            for a, f in zip(fused(t, *state), separate):
                 b = f(t, np.array(state))
                 assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
@@ -155,21 +158,70 @@ class TestIntegrate:
             integrate(system, [1.0, -3.0], config)
         assert 0.0 < info.value.time_reached < 1.0
 
-    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
-    def test_matches_per_stage_reference(self, example1, method):
+    @pytest.mark.parametrize(
+        "name, state0, method",
+        # example1 keeps the bare method ids; kepler3 is n = 3 with the bound
+        # parameter K and a radical, off the plane so every component moves
+        [pytest.param("example1", [1.0, 0.0], m, id=m) for m in METHODS]
+        + [
+            pytest.param(name, state0, m, id=f"{name}-{m}")
+            for name, state0 in (("oscillator", [1.0, 0.0]), ("kepler3", [1.0, 0.2, -0.1, 0.1, 1.1, 0.3]))
+            for m in METHODS
+        ],
+    )
+    def test_matches_per_stage_reference(self, name, state0, method, request):
+        system = request.getfixturevalue(name).system
         config = IntegratorConfig(method=method, h=1e-3, t1=1.0)
-        trajectory = integrate(example1.system, [1.0, 0.0], config)
-        assert np.array_equal(trajectory.states, _reference_states(example1.system, [1.0, 0.0], config))
+        trajectory = integrate(system, state0, config)
+        assert np.array_equal(trajectory.states, _reference_states(system, state0, config))
+
+    @pytest.mark.parametrize(
+        "hamiltonian, state0, method, t1, message, time_reached",
+        [
+            # sqrt(q) leaves its domain in a stage; the time is the stage time
+            (p**2 / 2 + sp.sqrt(q), [1.0, -2.0], "rk4", 2.0,
+             "singular evaluation of the canonical equations: math domain error", 0.465),
+            (p**2 / 2 + sp.sqrt(q), [1.0, -2.0], "implicit_midpoint", 2.0,
+             "singular evaluation of the canonical equations: math domain error", 0.4655),
+            # q**(3/2) is complex on a negative float
+            (p**2 / 2 + q ** sp.Rational(5, 2), [1.0, -3.0], "rk4", 1.0,
+             "non-finite value of the canonical equations", 0.3105),
+            (p**2 / 2 + q ** sp.Rational(5, 2), [1.0, -3.0], "implicit_midpoint", 1.0,
+             "non-finite value of the canonical equations", 0.3105),
+            # a free particle pushed past the largest float; the time is the step's start
+            (p**2 / 2, [1.79e308, 1e307], "rk4", 1.0, "non-finite state", 0.076),
+            (p**2 / 2, [1.79e308, 1e307], "implicit_midpoint", 1.0, "non-finite state", 0.076),
+        ],
+    )
+    def test_abort_message_and_time(self, hamiltonian, state0, method, t1, message, time_reached):
+        system = HamiltonianSystem(n=1, hamiltonian=hamiltonian)
+        config = IntegratorConfig(method=method, h=1e-3, t1=t1)
+        with pytest.raises(SingularityAbort) as info:
+            integrate(system, state0, config)
+        assert str(info.value) == f"{message} (time reached: {time_reached!r})"
+        assert info.value.time_reached == time_reached
+
+    def test_loop_built_once_per_method_and_dimension(self, example1, oscillator, kepler3):
+        _loop.cache_clear()
+        rk4 = IntegratorConfig(method="rk4", h=1e-2, t1=0.1)
+        integrate(example1.system, [1.0, 0.0], rk4)
+        integrate(oscillator.system, [1.0, 0.0], rk4)
+        assert _loop.cache_info().misses == 1
+        integrate(example1.system, [1.0, 0.0], replace(rk4, method="implicit_midpoint"))
+        assert _loop.cache_info().misses == 2
+        integrate(kepler3.system, [1.0, 0, 0, 0, 1.0, 0], rk4)
+        assert _loop.cache_info().misses == 3
 
 
 def _reference_states(system, state0, config):
-    """One array per stage and one compiled function per equation, with the
-    same compensated accumulation of the state as `integrate`."""
-    qdot, pdot = canonical_equations(system)
-    compiled = [compile_expression(e, system.n, system) for e in (*qdot, *pdot)]
+    """One array per stage, with the same compensated accumulation of the
+    state as `integrate`. The stages call the same compiled right-hand side
+    on Python floats: cse can round kepler3's equations differently from
+    compiling each one alone."""
+    fn = _rhs_function(system)
 
     def rhs(t, y):
-        return np.array([f(t, y) for f in compiled])
+        return np.array(fn(t, *map(float, y)))
 
     steps = config.steps
     h = (config.t1 - config.t0) / steps
@@ -300,8 +352,10 @@ class TestImplicitMidpoint:
         config = IntegratorConfig(
             method="implicit_midpoint", h=1e-2, t1=1.0, fixed_point_max_iter=1
         )
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError) as info:
             integrate(example1.system, [1.0, 0.0], config)
+        assert type(info.value) is IntegrationError
+        assert str(info.value) == "implicit midpoint did not converge within 1 iterations at t=0.0"
 
 
 class TestConvergenceOrder:

@@ -10,6 +10,7 @@ import hamsym.expressions
 from hamsym.expressions import (
     MAX_SAMPLE_ATTEMPTS,
     TIME,
+    ExpressionError,
     JetOrderError,
     SingularEvaluationError,
     UnboundSymbolError,
@@ -29,6 +30,7 @@ from hamsym.expressions import (
     simplify,
     total_derivative,
 )
+from hamsym.noether import verify_first_integral
 
 q, p = coord(1), momentum(1)
 dq, dp = coord_deriv(1), momentum_deriv(1)
@@ -257,6 +259,14 @@ class TestIsZero:
         verdict = is_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1, singular=(2 * q / 79,), seed=3)
         assert verdict.status == Verdict.NUMERIC and 0 < verdict.points < 32
         assert len(draws) == MAX_SAMPLE_ATTEMPTS + verdict.points
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_tolerance_must_be_positive_and_finite(self, example1, tol):
+        # a NaN or infinite bound passes every sampled value
+        with pytest.raises(ExpressionError, match="positive and finite"):
+            is_zero(q, tol=tol)
+        with pytest.raises(ExpressionError, match="positive and finite"):
+            verify_first_integral(example1.system, q, tol=tol)
 
     def test_one_compile_per_sampled_verdict(self, monkeypatch):
         # the guards, the expression and its additive terms form one tuple
