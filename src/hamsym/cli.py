@@ -150,31 +150,20 @@ def _symmetry_entry(report) -> dict:
     return entry
 
 
-def _symmetry_passes(report) -> bool:
-    if report.verdict_theorem1.is_zero:
-        return True
-    return report.divergence_verdict is not None and report.divergence_verdict.is_zero
-
-
 def _system_report(defn: SystemDefinition, args, names=None):
     """Per-symmetry reports plus relation verdicts; returns (json dict,
-    InvarianceReport list, all-pass flag)."""
+    InvarianceReport list, all-pass flag). A symmetry passes exactly when
+    it yields an integral."""
     sys_ = defn.system
     out = {**_header(args, sys_), "symmetries": [], "relations": []}
     selected = [s for s in defn.symmetries if names is None or s.name in names]
     if names is not None and len(selected) != len(names):
         missing = sorted(set(names) - {s.name for s in selected})
         raise HamsymError(f"unknown symmetry {missing[0]!r}")
-    reports = []
-    ok = True
-    integrals = {}
-    for X in selected:
-        report = build_report(sys_, X, seed=args.seed, tol=args.tol)
-        reports.append(report)
-        out["symmetries"].append(_symmetry_entry(report))
-        ok = ok and _symmetry_passes(report)
-        if report.integral is not None:
-            integrals[X.name] = report.integral.expression
+    reports = [build_report(sys_, X, seed=args.seed, tol=args.tol) for X in selected]
+    out["symmetries"] = [_symmetry_entry(report) for report in reports]
+    integrals = {r.symmetry: r.integral.expression for r in reports if r.integral is not None}
+    ok = len(integrals) == len(reports)
     for relation in defn.relations:
         if relation_expression(integrals, relation, sys_) is None:
             out["relations"].append({"name": relation.name, "status": "skipped"})
@@ -220,9 +209,7 @@ def cmd_integral(args) -> int:
     defn = _load(args)
     X = defn.symmetry(args.symmetry)
     try:
-        integral = first_integral(
-            defn.system, X, v=X.v, force=args.force, seed=args.seed, tol=args.tol
-        )
+        integral = first_integral(defn.system, X, force=args.force, seed=args.seed, tol=args.tol)
     except InvarianceError as exc:
         if args.json:
             print(json.dumps({**_header(args), "error": str(exc)}, indent=2))
@@ -255,6 +242,8 @@ def _parse_state(raw: str, n: int) -> list[float]:
         state = [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise HamsymError(f"bad state component: {exc}") from None
+    if not all(map(math.isfinite, state)):
+        raise HamsymError(f"state components must be finite, got {raw!r}")
     if len(state) != 2 * n:
         raise HamsymError(f"state needs {2 * n} components (q1..qn, p1..pn), got {len(state)}")
     return state
@@ -340,9 +329,6 @@ def cmd_identity_check(args) -> int:
     ]
     lines += report.failures()
     _emit(args, payload, lines)
-    if not report.passed and not args.json:
-        for failure in report.failures():
-            print(failure, file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

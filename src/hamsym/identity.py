@@ -23,6 +23,7 @@ from .expressions import (
     state_symbols,
 )
 from .noether import lemma1_residual, lemma2_residuals
+from .parsing import format_expression
 from .systems import HamiltonianSystem, HamsymError, PointSymmetry
 
 __all__ = ["IdentityCase", "IdentityReport", "random_pair", "identity_check"]
@@ -44,21 +45,23 @@ class IdentityCase:
 
     def reproducer(self) -> str | None:
         """Human-readable description of the first failing check, if any."""
-        failing = []
-        if not self.lemma1.is_zero:
-            failing.append(("lemma1", self.lemma1))
-        for k, v in enumerate(self.lemma2):
-            if not v.is_zero:
-                failing.append((f"lemma2[{k}]", v))
+        checks = [("lemma1", self.lemma1), *((f"lemma2[{k}]", v) for k, v in enumerate(self.lemma2))]
+        failing = [(label, v) for label, v in checks if not v.is_zero]
         if not failing:
             return None
         label, verdict = failing[0]
+        X = self.symmetry
         return (
             f"case {self.index}: {label} {verdict.status}"
-            f" (H = {self.system.hamiltonian}, xi = {self.symmetry.xi},"
-            f" eta = {self.symmetry.eta}, zeta = {self.symmetry.zeta},"
+            f" (H = {_quoted(self.system.hamiltonian)}, xi = {_quoted(X.xi)},"
+            f" eta = [{', '.join(map(_quoted, X.eta))}], zeta = [{', '.join(map(_quoted, X.zeta))}],"
             f" witness = {verdict.witness}, value = {verdict.value})"
         )
+
+
+def _quoted(e: sp.Expr) -> str:
+    """e as a quoted string of a system file."""
+    return f'"{format_expression(e)}"'
 
 
 @dataclass(frozen=True)

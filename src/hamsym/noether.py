@@ -35,6 +35,7 @@ from .expressions import (
     state_symbols,
     total_derivative,
 )
+from .parsing import format_expression
 from .systems import (
     DivergenceTerm,
     FirstIntegral,
@@ -86,8 +87,10 @@ def _zero(sys: HamiltonianSystem, e: sp.Expr, label: str, seed: int, tol: float)
     return is_zero(sys.bind(e), sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
+@lru_cache(maxsize=8)
 def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tuple[sp.Expr, ...]]:
-    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations."""
+    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations,
+    built once per system for the on-shell maps and the integrator."""
     qs, ps = _phase_symbols(sys.n)
     qdot = tuple(simplify(partial_diff(sys.hamiltonian, p)) for p in ps)
     pdot = tuple(simplify(-partial_diff(sys.hamiltonian, q)) for q in qs)
@@ -228,6 +231,22 @@ def check_divergence_invariance(
     return _zero(sys, on_shell(sys, residual), f"divergence:{X.name}", seed, tol)
 
 
+def _divergence(sys: HamiltonianSystem, X: PointSymmetry, seed: int, tol: float):
+    """The divergence decision of (sys, X): (Theorem 1's verdict, divergence
+    status, V, the verdict that justifies V). V is X.v when given, else 0
+    when Theorem 1 holds, else a synthesized term; V and its verdict are
+    None when no V is found."""
+    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
+    if X.v is not None:
+        verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
+        return theorem1, "user-supplied", DivergenceTerm(X.v, "user-supplied"), verdict
+    if theorem1.is_zero:
+        return theorem1, "zero", DivergenceTerm(sp.Integer(0), "synthesized"), theorem1
+    status, term = find_divergence_term(sys, X, seed=seed, tol=tol)
+    verdict = None if term is None else check_divergence_invariance(sys, X, term.v, seed=seed, tol=tol)
+    return theorem1, status, term, verdict
+
+
 def first_integral(
     sys: HamiltonianSystem,
     X: PointSymmetry,
@@ -236,17 +255,19 @@ def first_integral(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> FirstIntegral:
-    """I = p_i*eta^i - xi*H - V, gated on the invariance check."""
+    """I = p_i*eta^i - xi*H - V, refused unless V's verdict is zero. V is `v`
+    when given, else the divergence decision's; `force` builds I anyway,
+    with V = 0 when no V is found."""
     if v is None:
-        v = sp.Integer(0)
-        verdict = check_invariance(sys, X, seed=seed, tol=tol)
+        theorem1, _, term, verdict = _divergence(sys, X, seed, tol)
+        v = sp.Integer(0) if term is None else term.v
     else:
         verdict = check_divergence_invariance(sys, X, v, seed=seed, tol=tol)
-    if not verdict.is_zero and not force:
-        raise InvarianceError(
-            f"symmetry {X.name} does not leave the Hamiltonian action invariant ({verdict.status})"
-        )
-    return _integral(sys, X, v, seed, tol)
+    if force or (verdict is not None and verdict.is_zero):
+        return _integral(sys, X, v, seed, tol)
+    if verdict is None:
+        raise InvarianceError(f"symmetry {X.name} does not leave the Hamiltonian action invariant ({theorem1.status})")
+    raise InvarianceError(f"symmetry {X.name} is not invariant up to D(V), V = {format_expression(v)} ({verdict.status})")
 
 
 def _integral(sys, X, v, seed, tol) -> FirstIntegral:
@@ -450,29 +471,10 @@ def functional_independence(
 def build_report(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> InvarianceReport:
-    """Run the full per-symmetry pipeline: Theorem 1, divergence handling,
-    Theorem 4, direct invariance, and integral construction when justified."""
-    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
-
-    divergence: DivergenceTerm | None = None
-    divergence_verdict: Verdict | None = None
-    if X.v is not None:
-        divergence = DivergenceTerm(X.v, "user-supplied")
-        divergence_status = "user-supplied"
-        divergence_verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
-    elif theorem1.is_zero:
-        divergence = DivergenceTerm(sp.Integer(0), "synthesized")
-        divergence_status = "zero"
-        divergence_verdict = theorem1
-    else:
-        divergence_status, divergence = find_divergence_term(sys, X, seed=seed, tol=tol)
-        if divergence is not None:
-            divergence_verdict = check_divergence_invariance(sys, X, divergence.v, seed=seed, tol=tol)
-
-    integral = None
-    if divergence_verdict is not None and divergence_verdict.is_zero:
-        integral = _integral(sys, X, divergence.v, seed, tol)
-
+    """Run the full per-symmetry pipeline: the divergence decision, Theorem 4,
+    direct invariance, and the integral when the decision justifies one."""
+    theorem1, divergence_status, divergence, divergence_verdict = _divergence(sys, X, seed, tol)
+    justified = divergence_verdict is not None and divergence_verdict.is_zero
     return InvarianceReport(
         symmetry=X.name,
         verdict_theorem1=theorem1,
@@ -481,5 +483,5 @@ def build_report(
         divergence_verdict=divergence_verdict,
         theorem4_verdicts=theorem4_conditions(sys, X, seed=seed, tol=tol),
         direct_invariance_verdicts=equation_invariance_direct(sys, X, seed=seed, tol=tol),
-        integral=integral,
+        integral=_integral(sys, X, divergence.v, seed, tol) if justified else None,
     )

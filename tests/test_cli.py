@@ -258,6 +258,23 @@ class TestIdentityCheck:
         assert code == 1
         assert "lemma1" in out + err  # reproducer names the failing identity
 
+    def test_corrupt_failures_printed_once_and_parseable(self, capsys):
+        import re
+
+        from hamsym.parsing import ParseContext, parse_expression
+
+        code, out, err = run(
+            capsys, "identity-check", "--n", "1", "--degree", "2", "--count", "2",
+            "--seed", "42", "--corrupt",
+        )
+        assert code == 1
+        cases = identity_check(1, 2, 2, seed=42, corrupt=True).cases
+        text = out + err
+        for case in cases:
+            (line,) = [line for line in text.splitlines() if line.startswith(f"case {case.index}:")]
+            printed = re.search(r'H = "([^"]*)"', line).group(1)
+            assert parse_expression(printed, ParseContext(n=1)) == case.system.hamiltonian
+
     def test_corrupt_hook_detected_n3(self, capsys):
         code, payload, _ = run_json(
             capsys, "identity-check", "--n", "3", "--degree", "3", "--count", "2", "--corrupt",
@@ -293,6 +310,21 @@ class TestIdentityCheck:
             id=f"identity-n3-seed{seed}{suffix}",
         )
         for seed, extra, suffix in (("0", [], ""), ("1", [], ""), ("0", ["--corrupt"], "-corrupt"))
+    ]
+    + [
+        # the integral and simulate reports that read the divergence decision
+        pytest.param(argv, golden, id=golden.removesuffix("-seed42.json"))
+        for argv, golden in (
+            (["integral", "--example", "example1", "X2", "--seed", "42"], "integral-example1-X2-seed42.json"),
+            (
+                ["integral", "--example", "coulomb", "X2", "--force", "--seed", "42"],
+                "integral-coulomb-X2-force-seed42.json",
+            ),
+            (
+                ["simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--t1", "1", "--seed", "42"],
+                "simulate-example1-seed42.json",
+            ),
+        )
     ],
 )
 def test_check_json_matches_golden_bytes(capsys, argv, golden):
@@ -321,6 +353,44 @@ def test_check_builds_shared_objects_once(capsys, monkeypatch):
     assert [memo.cache_info().misses for memo in memos] == [1, 3]
 
 
+def test_simulate_builds_canonical_equations_once(capsys):
+    # the on-shell maps of the report and the integrator's right-hand side share them
+    memo = hamsym.noether.canonical_equations
+    for cache in (memo, hamsym.noether._on_shell_maps):
+        cache.cache_clear()
+    code, _, _ = run(capsys, "simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--json")
+    assert code == 0 and memo.cache_info().misses == 1
+
+
+def _wrong_v_file(tmp_path):
+    """example1 with v = q1 given for X1, whose Theorem 1 holds with V = 0."""
+    from hamsym.registry import EXAMPLES
+
+    text = EXAMPLES["example1"].replace('zeta = ["0"]\n', 'zeta = ["0"]\nv = "q1"\n', 1)
+    assert text != EXAMPLES["example1"]
+    path = tmp_path / "wrong-v.txt"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("source", ["example1", "coulomb", "oscillator", "wrong-v"])
+def test_integral_and_check_make_one_decision(capsys, tmp_path, source):
+    # `integral NAME` gives exactly the integral of check's entry, and check
+    # passes exactly when every symmetry yields one and no relation fails
+    where = ("--file", str(_wrong_v_file(tmp_path))) if source == "wrong-v" else ("--example", source)
+    code, payload, _ = run_json(capsys, "check", *where, "--seed", "42")
+    entries = payload["symmetries"]
+    passed = all("integral" in e for e in entries) and all(
+        r["status"] in (*ZERO, "skipped") for r in payload["relations"]
+    )
+    assert code == (0 if passed else 1)
+    for entry in entries:
+        code, report, _ = run_json(capsys, "integral", *where, entry["name"], "--seed", "42")
+        assert (code == 0) == ("integral" in entry), entry["name"]
+        if "integral" in entry:
+            assert report["symmetries"][0]["integral"] == entry["integral"], entry["name"]
+
+
 def test_identity_check_builds_one_residual_per_case():
     # Lemma 1 and Lemma 2 read the same residual
     residual = hamsym.noether.invariance_residual
@@ -340,6 +410,7 @@ class TestExitCodes:
             (("simulate", "--example", "oscillator", "--state", "1,0", "--t0=-inf"), "finite"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "inf"), "finite"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h=1e-300"), "1e+300 steps"),
+            (("simulate", "--example", "oscillator", "--state", "nan,0"), "finite"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):

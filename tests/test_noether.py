@@ -163,6 +163,16 @@ class TestFirstIntegral:
         I = first_integral(kepler3.system, kepler3.symmetry("X0"), seed=SEED)
         assert simplify(I.expression + kepler3.system.hamiltonian) == 0
 
+    def test_default_v_is_the_reports(self, example1):
+        # X3 leaves the action invariant only up to D(q^2/2), which is synthesized
+        X3 = example1.symmetry("X3")
+        I = first_integral(example1.system, X3, seed=SEED)
+        assert I == build_report(example1.system, X3, seed=SEED).integral
+
+    def test_refusal_names_a_failing_v(self, example1):
+        with pytest.raises(InvarianceError, match=r"V = q1 \(nonzero\)"):
+            first_integral(example1.system, example1.symmetry("X1"), v=q, seed=SEED)
+
     def test_refuses_non_invariant(self, coulomb):
         with pytest.raises(InvarianceError):
             first_integral(coulomb.system, coulomb.symmetry("X2"), seed=SEED)
