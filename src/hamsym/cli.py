@@ -145,6 +145,8 @@ def _symmetry_entry(report) -> dict:
     }
     if report.divergence is not None:
         entry["divergence"]["v"] = format_expression(report.divergence.v)
+    if report.divergence_verdict is not None and not report.divergence_verdict.is_zero:
+        entry["divergence"]["verdict"] = report.divergence_verdict.to_dict()
     if report.integral is not None:
         entry["integral"] = _integral_entry(report.integral)
     return entry
@@ -183,9 +185,12 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def _describe_symmetry(entry: dict) -> str:
-    bits = [f"theorem1 {entry['theorem1']['status']}", f"divergence {entry['divergence']['status']}"]
-    if "v" in entry["divergence"] and entry["divergence"]["v"] != "0":
-        bits.append(f"v = {entry['divergence']['v']}")
+    divergence = entry["divergence"]
+    bits = [f"theorem1 {entry['theorem1']['status']}", f"divergence {divergence['status']}"]
+    if "verdict" in divergence:
+        bits[-1] += f" ({divergence['verdict']['status']})"
+    if divergence.get("v", "0") != "0":
+        bits.append(f"v = {divergence['v']}")
     for check in ("theorem4", "direct"):
         bits.append(f"{check} " + ("pass" if all(Verdict(s).is_zero for s in entry[check]) else "fail"))
     if "integral" in entry:

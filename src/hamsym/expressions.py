@@ -3,6 +3,10 @@
 Expressions are sympy trees restricted to exact rational constants, the jet
 symbols t, q1..qn, p1..pn, dq1.., dp1.., ddq1.., ddp1.. (time derivatives up
 to order 2), named parameters and a small set of elementary functions.
+The proof tier computes in exact algebras where it can: the jet ring of
+polynomials over QQ, or the jet field of rational functions over QQ with
+one generator per radical (jet_algebra picks one). Derivatives, on-shell
+substitution and the zero test accept their elements as well as Exprs.
 Everything here is a pure function over immutable values; floating point
 enters only at evaluation time.
 """
@@ -19,6 +23,7 @@ from typing import Generator, Iterable, Mapping, Sequence
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.rings import PolyElement, PolyRing
 from sympy.printing.numpy import NumPyPrinter
 
@@ -40,6 +45,11 @@ __all__ = [
     "symbol_info",
     "jet_order",
     "jet_ring",
+    "jet_field",
+    "jet_algebra",
+    "algebra_lift",
+    "to_expr",
+    "substitute_jets",
     "partial_diff",
     "total_derivative",
     "simplify",
@@ -144,7 +154,7 @@ def symbol_info(s: sp.Symbol) -> tuple[str, int, int] | None:
     return None
 
 
-def jet_order(e: sp.Expr | PolyElement) -> int:
+def jet_order(e: sp.Expr | PolyElement | FracElement) -> int:
     order = 0
     for s in _jet_view(e)[1]:
         info = symbol_info(s)
@@ -168,31 +178,237 @@ def jet_ring(n: int) -> PolyRing:
     return PolyRing([*state_symbols(n), *jets], QQ)
 
 
+@lru_cache(maxsize=16)
+def jet_field(n: int, radicals: tuple[tuple[sp.Expr, int], ...] = ()) -> FracField:
+    """The field of rational functions over QQ in one generator u = b^(1/m)
+    per radical (b, m), then the jet_ring(n) symbols, in lex order with the
+    radicals first. Each base b is a polynomial over QQ in the state
+    symbols. The arithmetic treats u as free; the zero test and to_expr
+    apply the relation u^m = b, and derivatives its chain rule."""
+    roots = []
+    for b, m in radicals:
+        root = b ** sp.Rational(1, m)
+        if not (root.is_Pow and root.base == b and root.exp == sp.Rational(1, m)):
+            raise ValueError(f"({b})^(1/{m}) does not stay a radical")
+        roots.append(root)
+    return FracField((*roots, *jet_ring(n).symbols), QQ)
+
+
+@lru_cache(maxsize=16)
+def _roots(field: FracField) -> tuple[tuple[int, PolyElement, int, PolyElement], ...]:
+    """(generator index, base b, m, relation u^m - b) of each radical
+    generator u = b^(1/m) of a jet field."""
+    ring = field.ring
+    out = []
+    for i, s in enumerate(field.symbols):
+        if s.is_Pow:
+            b = ring.from_expr(s.base)
+            out.append((i, b, s.exp.q, ring.gens[i] ** s.exp.q - b))
+    return tuple(out)
+
+
+def jet_algebra(n: int, exprs: Sequence[sp.Expr]):
+    """(lift, the lifted exprs) in the first exact algebra of dimension n
+    that holds every expression of `exprs`, or None when none does. That is
+    the jet ring when all are polynomials over QQ in the jet symbols, else
+    the jet field of their radicals when all are rational functions over QQ
+    in the jet symbols and in radicals b^(k/m) of polynomial bases b in the
+    state symbols. Floats, unbound parameters, nested radicals and
+    trigonometric, exp or log terms have no exact algebra."""
+    exprs = [sp.sympify(e) for e in exprs]
+    if any(e.atoms(sp.Float) for e in exprs):
+        return None
+    denominators: dict[sp.Expr, set[int]] = {}
+    for e in exprs:
+        for node in e.atoms(sp.Pow):
+            if node.exp.is_Rational and not node.exp.is_Integer:
+                denominators.setdefault(node.base, set()).add(node.exp.q)
+    ring = jet_ring(n)
+    try:
+        if not denominators:
+            try:
+                return ring.from_expr, [ring.from_expr(e) for e in exprs]
+            except ValueError:
+                pass  # a rational function
+        for b in denominators:
+            # a nested radical or a base that is not a polynomial raises here
+            if jet_order(ring.from_expr(b)) > 0:
+                return None
+        radicals = sorted(((b, reduce(math.lcm, qs)) for b, qs in denominators.items()), key=sp.default_sort_key)
+        field = jet_field(n, tuple(radicals))
+        return field.from_expr, [field.from_expr(e) for e in exprs]
+    except ValueError:
+        return None
+
+
+def algebra_lift(e):
+    """The map of an Expr into the algebra of e: its jet ring, its jet
+    field, or Expr."""
+    if isinstance(e, PolyElement):
+        return e.ring.from_expr
+    if isinstance(e, FracElement):
+        return e.field.from_expr
+    return sp.sympify
+
+
+def _normal_form(e: FracElement) -> tuple[PolyElement, PolyElement]:
+    """The numerator and the denominator of e, each reduced by the relations
+    u^m - b of e's radicals (of degree below m in each u)."""
+    relations = [relation for *_, relation in _roots(e.field)]
+    if not relations:
+        return e.numer, e.denom
+    return e.numer.rem(relations), e.denom.rem(relations)
+
+
+def _proves_zero(e: PolyElement | FracElement) -> bool:
+    """Whether the exact element e is zero wherever it is defined: a ring
+    element is zero, a field element's numerator reduces to zero by its
+    radical relations while its denominator does not."""
+    if isinstance(e, PolyElement):
+        return not e
+    numer, denom = _normal_form(e)
+    return not numer and bool(denom)
+
+
+def to_expr(e) -> sp.Expr:
+    """e as an Expr; a field element's numerator and denominator are first
+    reduced by its radical relations."""
+    if isinstance(e, PolyElement):
+        return e.as_expr()
+    if isinstance(e, FracElement):
+        numer, denom = _normal_form(e)
+        if not denom:  # undefined wherever u^m = b: keep the free form
+            numer, denom = e.numer, e.denom
+        return numer.as_expr() / denom.as_expr()
+    return sp.sympify(e)
+
+
+def _compose(P: PolyElement, values: Mapping) -> tuple[PolyElement, PolyElement]:
+    """(A, B) with A/B = P at `values`. P's terms are grouped by their powers
+    of the substituted generators and put over one common denominator B."""
+    ring = P.ring
+    degrees = P.degrees()
+    subs = []
+    for s, v in values.items():
+        i = ring.symbols.index(s)
+        if degrees[i] > 0:
+            numer, denom = (v.numer, v.denom) if isinstance(v, FracElement) else (v, ring.one)
+            subs.append((i, numer, denom, degrees[i]))
+    if not subs:
+        return P, ring.one
+    groups: dict[tuple, dict] = {}
+    for monom, coeff in P.iterterms():
+        rest = list(monom)
+        key = tuple(rest[i] for i, *_ in subs)
+        for i, *_ in subs:
+            rest[i] = 0
+        groups.setdefault(key, {})[tuple(rest)] = coeff
+    A = ring.zero
+    for key, terms in groups.items():
+        term = ring.dtype(terms)
+        for (_, numer, denom, d), k in zip(subs, key):
+            if k:
+                term *= numer**k
+            if d - k and denom != 1:
+                term *= denom ** (d - k)
+        A += term
+    B = ring.one
+    for _, _, denom, d in subs:
+        if denom != 1:
+            B *= denom**d
+    return A, B
+
+
+def substitute_jets(e, values: Mapping):
+    """e with each symbol of `values` replaced by its value, in e's algebra:
+    an Expr by xreplace, an exact element term by term over its numerator
+    and its denominator (FracElement.subs takes only constants). No value
+    may hold a symbol that `values` replaces."""
+    if isinstance(e, PolyElement):
+        return _compose(e, values)[0]
+    if isinstance(e, FracElement):
+        (nn, nd), (dn, dd) = _compose(e.numer, values), _compose(e.denom, values)
+        return e.field.new(nn * dd, nd * dn)
+    return sp.sympify(e).xreplace(values)
+
+
 def _jet_view(e):
     """(e, the symbols e depends on, the map of an Expr into e's algebra)
-    for an Expr or an element of a jet ring."""
+    for an Expr or an element of a jet ring or field. A field element
+    depends on the symbols of each of its radicals' bases, and its radical
+    generators are left out."""
+    lift = algebra_lift(e)
     if isinstance(e, PolyElement):
-        ring = e.ring
-        return e, [s for s, d in zip(ring.symbols, e.degrees()) if d > 0], ring.from_expr
+        return e, [s for s, d in zip(e.ring.symbols, e.degrees()) if d > 0], lift
+    if isinstance(e, FracElement):
+        degrees = [max(dn, dd) for dn, dd in zip(e.numer.degrees(), e.denom.degrees())]
+        for i, b, _, _ in _roots(e.field):
+            if degrees[i] > 0:
+                degrees = [max(d, db) for d, db in zip(degrees, b.degrees())]
+        return e, [s for s, d in zip(e.field.symbols, degrees) if d > 0 and s.is_Symbol], lift
     e = sp.sympify(e)
-    return e, e.free_symbols, sp.sympify
+    return e, e.free_symbols, lift
 
 
-def partial_diff(e: sp.Expr | PolyElement, s: sp.Symbol) -> sp.Expr | PolyElement:
-    """de/ds, in the algebra of e. A sum is differentiated term by term, as
-    sympy does, but without sympy's closing test of whether the whole
-    derivative is zero: on large polynomials in real symbols that assumption
-    query costs more than the derivative."""
+def _field_derivative(e: FracElement, weights: Sequence[tuple[int, PolyElement]]) -> FracElement:
+    """The derivation with x_i -> w for each (i, w) of `weights`, applied to
+    e. `weights` covers every symbol that e depends on (see _jet_view). A
+    radical u = b^(1/m) follows the chain rule u' = b'/(m*u^(m-1)),
+    which is u*b'/(m*b) under u^m = b; its denominator is a monomial, and so
+    then is every denominator that derivatives of monomial denominators
+    produce, whose cancellation is cheap. The result is put over one
+    denominator, so it costs one cancellation."""
+    field, ring = e.field, e.field.ring
+    numer, denom = e.numer, e.denom
+    nd, dd = numer.degrees(), denom.degrees()
+
+    def direct(P, degrees):
+        out = ring.zero
+        for i, w in weights:
+            if degrees[i] > 0:
+                out += P.diff(i) * w
+        return out
+
+    roots = [(i, b, m) for i, b, m, _ in _roots(field) if max(nd[i], dd[i]) > 0]
+    scale = ring.one
+    for i, _, m in roots:
+        scale *= m * ring.gens[i] ** (m - 1)
+    # scale * u' = b' * scale / (m*u^(m-1)) for each radical u of e
+    rates = [(i, direct(b, b.degrees()) * scale.exquo(m * ring.gens[i] ** (m - 1))) for i, b, m in roots]
+
+    def delta(P, degrees):  # scale * P'
+        out = direct(P, degrees) * scale
+        for i, rate in rates:
+            if degrees[i] > 0:
+                out += P.diff(i) * rate
+        return out
+
+    dn, ddn = delta(numer, nd), delta(denom, dd)
+    if not ddn:
+        return field.new(dn, denom * scale)
+    return field.new(dn * denom - numer * ddn, denom**2 * scale)
+
+
+def partial_diff(e: sp.Expr | PolyElement | FracElement, s: sp.Symbol) -> sp.Expr | PolyElement | FracElement:
+    """de/ds, in the algebra of e; in a jet field through the chain rule
+    du/ds = u*(db/ds)/(m*b) of each radical u = b^(1/m), in the form
+    (db/ds)/(m*u^(m-1)) (see _field_derivative). A sum of Exprs is
+    differentiated term by term, as sympy does, but without sympy's closing
+    test of whether the whole derivative is zero: on large polynomials in
+    real symbols that assumption query costs more than the derivative."""
     if isinstance(e, PolyElement):
         symbols = e.ring.symbols
         return e.diff(symbols.index(s)) if s in symbols else e.ring.zero
+    if isinstance(e, FracElement):
+        symbols = e.field.symbols
+        return _field_derivative(e, [(symbols.index(s), e.field.ring.one)] if s in symbols else [])
     e = sp.sympify(e)
     if e.is_Add:
         return e.func(*(sp.diff(a, s) for a in e.args))
     return sp.diff(e, s)
 
 
-def total_derivative(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
+def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:
     """Total time derivative on the truncated jet space, in the algebra of e.
 
     D(e) = de/dt + sum_i dqi*de/dqi + dpi*de/dpi + ddqi*de/ddqi + ddpi*de/ddpi.
@@ -200,7 +416,7 @@ def total_derivative(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
     would need order-3 symbols.
     """
     e, symbols, lift = _jet_view(e)
-    out = partial_diff(e, TIME)
+    rates = {}  # D(s) for each jet symbol s of e; D(t) = 1
     for s in symbols:
         info = symbol_info(s)
         if info is None or info[0] == "t":
@@ -209,19 +425,27 @@ def total_derivative(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
         if order >= MAX_JET_ORDER:
             raise JetOrderError(f"total derivative of order-{order} symbol {s} exceeds jet order {MAX_JET_ORDER}")
         maker = coord_deriv if kind == "q" else momentum_deriv
-        out += lift(maker(index, order + 1)) * partial_diff(e, s)
+        rates[s] = lift(maker(index, order + 1))
+    if isinstance(e, FracElement):
+        field = e.field
+        weights = [(field.symbols.index(s), rate.numer) for s, rate in rates.items()]
+        return _field_derivative(e, [(field.symbols.index(TIME), field.ring.one), *weights])
+    out = partial_diff(e, TIME)
+    for s, rate in rates.items():
+        out += rate * partial_diff(e, s)
     return out
 
 
-def simplify(e: sp.Expr | PolyElement) -> sp.Expr | PolyElement:
+def simplify(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:
     """Canonicalize: constant folding, like-term collection and
-    rational-function normalization over a common denominator. A jet-ring
-    element is already canonical and comes back unchanged.
+    rational-function normalization over a common denominator. An element
+    of a jet ring or field is already in normal form and comes back
+    unchanged.
 
     Transcendental subterms are treated as atoms, so this need not prove
     identities such as sin^2 + cos^2 = 1; is_zero covers those numerically.
     """
-    if isinstance(e, PolyElement):
+    if isinstance(e, (PolyElement, FracElement)):
         return e
     e = sp.sympify(e)
     if _is_plain_polynomial(e):
@@ -385,24 +609,33 @@ def sample_point(
 
 
 def is_zero(
-    e: sp.Expr,
+    e: sp.Expr | PolyElement | FracElement,
     singular: Iterable[sp.Expr] = (),
     *,
     seed: int = 0,
     points: int = DEFAULT_POINTS,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Two-tier zero test: canonical-form proof, then seeded numeric sampling.
+    """Two-tier zero test: an exact proof, then seeded numeric sampling.
 
-    The numeric tolerance is relative to the magnitude of the expression's
-    additive terms at each point, so cancellations of large terms count. It
-    must be positive and finite: no value exceeds a NaN or infinite bound.
+    An element of a jet ring or field is proven zero by exact arithmetic
+    (a field element when its numerator reduces to zero by the radical
+    relations); an Expr by its canonical form. Anything else is converted
+    to an Expr and sampled: only sampling may say 'nonzero'. The numeric
+    tolerance is relative to the magnitude of the expression's additive
+    terms at each point, so cancellations of large terms count. It must be
+    positive and finite: no value exceeds a NaN or infinite bound.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ExpressionError(f"tolerance must be positive and finite, got {tol!r}")
-    simplified = simplify(e)
-    if simplified == 0:
-        return Verdict(Verdict.PROVEN)
+    if isinstance(e, (PolyElement, FracElement)):
+        if _proves_zero(e):
+            return Verdict(Verdict.PROVEN)
+        simplified = to_expr(e)
+    else:
+        simplified = simplify(e)
+        if simplified == 0:
+            return Verdict(Verdict.PROVEN)
     free = simplified.free_symbols
     if not free:
         return Verdict(Verdict.NONZERO, witness={}, value=float(simplified))

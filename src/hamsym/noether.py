@@ -21,18 +21,21 @@ from .expressions import (
     TIME,
     SamplingError,
     Verdict,
+    algebra_lift,
     coord,
     coord_deriv,
     derive_seed,
     draw_samples,
     is_zero,
+    jet_algebra,
     jet_order,
-    jet_ring,
     momentum,
     momentum_deriv,
     partial_diff,
     simplify,
     state_symbols,
+    substitute_jets,
+    to_expr,
     total_derivative,
 )
 from .parsing import format_expression
@@ -82,9 +85,12 @@ def _phase_symbols(n: int):
     return state[1 : n + 1], state[n + 1 :]
 
 
-def _zero(sys: HamiltonianSystem, e: sp.Expr, label: str, seed: int, tol: float) -> Verdict:
-    """The seeded zero test of e, parameters bound, for the check named label."""
-    return is_zero(sys.bind(e), sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
+def _zero(sys: HamiltonianSystem, e, label: str, seed: int, tol: float) -> Verdict:
+    """The seeded zero test of e, parameters bound, for the check named
+    label; an element of an exact algebra holds them bound already."""
+    if algebra_lift(e) is sp.sympify:
+        e = sys.bind(e)
+    return is_zero(e, sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
 @lru_cache(maxsize=8)
@@ -98,40 +104,56 @@ def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tu
 
 
 @lru_cache(maxsize=8)
-def _on_shell_maps(sys: HamiltonianSystem) -> tuple[Mapping, Mapping]:
-    """First- and second-order jet substitutions, built once per system and
-    shared read-only by every caller."""
-    qdot, pdot = canonical_equations(sys)
-    first, second = {}, {}
+def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
+    """The canonical equations and their differential consequences as one
+    substitution of every jet symbol, in the algebra of `lift`: each
+    first-order jet goes to its canonical right-hand side, each second-order
+    jet to the total derivative of that side with the first-order jets
+    already substituted. An exact algebra differentiates H itself, with the
+    parameters bound; Expr reads canonical_equations. Built once per
+    (system, algebra) and shared read-only by every caller."""
+    if lift is sp.sympify:
+        qdot, pdot = canonical_equations(sys)
+    else:
+        qs, ps = _phase_symbols(sys.n)
+        H = lift(sys.bind(sys.hamiltonian))
+        qdot, pdot = [partial_diff(H, p) for p in ps], [-partial_diff(H, q) for q in qs]
+    first = {}
     for i in range(1, sys.n + 1):
         first[coord_deriv(i)] = qdot[i - 1]
         first[momentum_deriv(i)] = pdot[i - 1]
-        second[coord_deriv(i, 2)] = total_derivative(qdot[i - 1])
-        second[momentum_deriv(i, 2)] = total_derivative(pdot[i - 1])
-    return MappingProxyType(first), MappingProxyType(second)
+    values = dict(first)
+    for i in range(1, sys.n + 1):
+        for maker in (coord_deriv, momentum_deriv):
+            values[maker(i, 2)] = substitute_jets(total_derivative(first[maker(i)]), first)
+    return MappingProxyType(values)
 
 
-def on_shell(sys: HamiltonianSystem, e: sp.Expr) -> sp.Expr:
+def on_shell(sys: HamiltonianSystem, e):
     """Substitute the canonical equations and their differential consequences
-    for all jet symbols; the result is a function of (t, q, p) only."""
-    first, second = _on_shell_maps(sys)
-    return simplify(sp.sympify(e).xreplace(second).xreplace(first))
+    for all jet symbols; the result is a function of (t, q, p) only. An
+    element of a jet ring or field is substituted in its own algebra."""
+    return simplify(substitute_jets(e, _on_shell_maps(sys, algebra_lift(e))))
+
+
+def _lifted(sys: HamiltonianSystem, exprs):
+    """(lift, exprs): `exprs` with the parameters bound in the exact jet
+    algebra that holds them all, and the map of an Expr into it; else
+    (sympify, exprs) unchanged, for Expr."""
+    found = jet_algebra(sys.n, [sys.bind(e) for e in exprs])
+    return (sp.sympify, list(exprs)) if found is None else found
 
 
 @lru_cache(maxsize=8)
 def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
-    """(lift, H, X) in the algebra that the lemma code of (sys, X) computes
-    in, where lift maps an Expr into it: the jet ring over QQ when H, xi, eta
-    and zeta are all polynomials over QQ in (t, q, p), with no parameters and
-    no floats, whose arithmetic gives canonical forms directly; else Expr."""
-    lift = jet_ring(sys.n).from_expr
-    try:
-        if any(e.atoms(sp.Float) for e in (sys.hamiltonian, X.xi, *X.eta, *X.zeta)):
-            raise ValueError("a float is not an exact rational")
-        lifted = PointSymmetry(X.name, lift(X.xi), tuple(map(lift, X.eta)), tuple(map(lift, X.zeta)))
-        return lift, lift(sys.hamiltonian), lifted
-    except ValueError:
-        return sp.sympify, sys.hamiltonian, X
+    """(lift, H, X) in the algebra that the code of (sys, X) computes in,
+    where lift maps an Expr into it: the exact jet algebra of H, X's
+    coefficients and X.v, with the parameters bound, whose arithmetic gives
+    normal forms directly; else Expr."""
+    n = len(X.eta)
+    v = () if X.v is None else (X.v,)
+    lift, (H, xi, *rest) = _lifted(sys, (sys.hamiltonian, X.xi, *X.eta, *X.zeta, *v))
+    return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]))
 
 
 def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
@@ -143,28 +165,35 @@ def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
 
 
 @lru_cache(maxsize=8)
-def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
-    """Off-shell residual of the action-invariance condition:
-    zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), simplified. Built once per
-    (system, symmetry) and shared by every check that reads it."""
+def _residual(sys: HamiltonianSystem, X: PointSymmetry):
+    """Off-shell residual of the action-invariance condition,
+    zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), in the algebra of (sys, X).
+    Built once per (system, symmetry) and shared by every check that reads it."""
     if len(X.eta) != sys.n:
         raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
     lift, H, X = _algebra(sys, X)
     out = -apply_operator(X, H) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += zeta * lift(coord_deriv(i)) + lift(momentum(i)) * total_derivative(eta)
-    return simplify(out).as_expr()
+    return simplify(out)
+
+
+def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
+    """The off-shell residual of (sys, X) as an Expr, simplified; its
+    parameters are bound when it was built in an exact algebra."""
+    return to_expr(_residual(sys, X))
 
 
 def check_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
     """Theorem 1: the on-shell verdict of the invariance residual."""
-    return _zero(sys, on_shell(sys, invariance_residual(sys, X)), f"theorem1:{X.name}", seed, tol)
+    return _zero(sys, on_shell(sys, _residual(sys, X)), f"theorem1:{X.name}", seed, tol)
 
 
-def _jet_linear_coefficients(sys: HamiltonianSystem, residual: sp.Expr):
+def _jet_linear_coefficients(sys: HamiltonianSystem, residual):
     """Write residual = A + B_i*dq_i + C_i*dp_i; all three jet-free."""
+    lift = algebra_lift(residual)
     b, c = [], []
     rest = residual
     for i in range(1, sys.n + 1):
@@ -174,7 +203,7 @@ def _jet_linear_coefficients(sys: HamiltonianSystem, residual: sp.Expr):
             return None
         b.append(bi)
         c.append(ci)
-        rest = rest - bi * coord_deriv(i) - ci * momentum_deriv(i)
+        rest = rest - bi * lift(coord_deriv(i)) - ci * lift(momentum_deriv(i))
     a = simplify(rest)
     if jet_order(a) > 0:
         return None
@@ -191,7 +220,7 @@ def find_divergence_term(
     definitively) or 'not-synthesizable' (non-polynomial coefficients;
     a caller-supplied V may still verify).
     """
-    residual = invariance_residual(sys, X)
+    residual = _residual(sys, X)
     if residual == 0:
         return "zero", DivergenceTerm(sp.Integer(0), "synthesized")
     decomposition = _jet_linear_coefficients(sys, residual)
@@ -208,6 +237,7 @@ def find_divergence_term(
                 return "no-v-exists", None
             if verdict.status == Verdict.INCONCLUSIVE:
                 return "not-synthesizable", None
+    gradient = [to_expr(g) for g in gradient]
     if not all(g.is_polynomial(*variables) for g in gradient):
         return "not-synthesizable", None
     # the homotopy V = int_0^1 z.g(s*z) ds: a degree-d monomial of g integrates to 1/(d + 1)
@@ -216,7 +246,8 @@ def find_divergence_term(
         for degrees, coefficient in sp.Poly(g, *variables).terms():
             v += coefficient * z * sp.Mul(*(x**d for x, d in zip(variables, degrees))) / (sum(degrees) + 1)
     v = simplify(v)
-    if not _zero(sys, residual - total_derivative(v), f"divsynth:{X.name}", seed, tol).is_zero:
+    recheck = residual - total_derivative(algebra_lift(residual)(v))
+    if not _zero(sys, recheck, f"divsynth:{X.name}", seed, tol).is_zero:
         return "not-synthesizable", None
     return "synthesized", DivergenceTerm(v, "synthesized")
 
@@ -224,22 +255,38 @@ def find_divergence_term(
 def check_divergence_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    """The divergence remark: the on-shell verdict of residual - D(v)."""
+    """The divergence remark: the on-shell verdict of residual - D(v), in the
+    algebra of (sys, X) when v lies in it, else over Expr."""
     if jet_order(v) > 0:
         raise HamsymError("divergence term must not contain jet symbols")
-    residual = invariance_residual(sys, X) - total_derivative(v)
-    return _zero(sys, on_shell(sys, residual), f"divergence:{X.name}", seed, tol)
+    residual, lifted = _residual(sys, X), _in_algebra(sys, X, v)
+    if lifted is None:
+        residual, lifted = to_expr(residual), sp.sympify(v)
+    return _zero(sys, on_shell(sys, residual - total_derivative(lifted)), f"divergence:{X.name}", seed, tol)
+
+
+def _in_algebra(sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr):
+    """v in the exact algebra of (sys, X), or None when (sys, X) computes
+    over Expr or v leaves its algebra."""
+    lift, _, _ = _algebra(sys, X)
+    if lift is sp.sympify:
+        return None
+    try:
+        return lift(sys.bind(v))
+    except ValueError:
+        return None
 
 
 def _divergence(sys: HamiltonianSystem, X: PointSymmetry, seed: int, tol: float):
     """The divergence decision of (sys, X): (Theorem 1's verdict, divergence
-    status, V, the verdict that justifies V). V is X.v when given, else 0
-    when Theorem 1 holds, else a synthesized term; V and its verdict are
+    status, V, the verdict that justifies V). V is X.v when given, and then
+    Theorem 1 is not decided (None), since nothing reads it; else V is 0
+    when Theorem 1 holds, else a synthesized term. V and its verdict are
     None when no V is found."""
-    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
     if X.v is not None:
         verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
-        return theorem1, "user-supplied", DivergenceTerm(X.v, "user-supplied"), verdict
+        return None, "user-supplied", DivergenceTerm(X.v, "user-supplied"), verdict
+    theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
     if theorem1.is_zero:
         return theorem1, "zero", DivergenceTerm(sp.Integer(0), "synthesized"), theorem1
     status, term = find_divergence_term(sys, X, seed=seed, tol=tol)
@@ -270,13 +317,30 @@ def first_integral(
     raise InvarianceError(f"symmetry {X.name} is not invariant up to D(V), V = {format_expression(v)} ({verdict.status})")
 
 
-def _integral(sys, X, v, seed, tol) -> FirstIntegral:
-    """Construct I = p_i*eta^i - xi*H - V and verify it, without gating."""
-    expr = -X.xi * sys.hamiltonian - v
+def _noether_integral(lift, H, X: PointSymmetry, v):
+    """p_i*eta^i - xi*H - V in the algebra of lift."""
+    out = -X.xi * H - v
     for i, eta in enumerate(X.eta, start=1):
-        expr += momentum(i) * eta
-    expr = simplify(expr)
-    return FirstIntegral(name=X.name, expression=expr, verified=verify_first_integral(sys, expr, seed=seed, tol=tol))
+        out += lift(momentum(i)) * eta
+    return out
+
+
+def _integral(sys, X, v, seed, tol) -> FirstIntegral:
+    """Construct I = p_i*eta^i - xi*H - V, simplified for print, and verify
+    it without gating: in the algebra of (sys, X) when V lies in it."""
+    expr = simplify(_noether_integral(sp.sympify, sys.hamiltonian, X, v))
+    lifted_v = _in_algebra(sys, X, v)
+    if lifted_v is None:
+        verified = verify_first_integral(sys, expr, seed=seed, tol=tol)
+    else:
+        lift, H, lifted = _algebra(sys, X)
+        verified = _conserved(sys, _noether_integral(lift, H, lifted, lifted_v), seed, tol)
+    return FirstIntegral(name=X.name, expression=expr, verified=verified)
+
+
+def _conserved(sys: HamiltonianSystem, integral, seed: int, tol: float) -> Verdict:
+    """The on-shell verdict of D(integral), in the algebra of integral."""
+    return _zero(sys, on_shell(sys, total_derivative(integral)), "verify-integral", seed, tol)
 
 
 def verify_first_integral(
@@ -284,7 +348,8 @@ def verify_first_integral(
 ) -> Verdict:
     if jet_order(integral) > 0:
         raise HamsymError("a first integral must be a function of (t, q, p) only")
-    return _zero(sys, on_shell(sys, total_derivative(integral)), "verify-integral", seed, tol)
+    _, (_, integral) = _lifted(sys, (sys.hamiltonian, integral))
+    return _conserved(sys, integral, seed, tol)
 
 
 def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: str = "X_I") -> PointSymmetry:
@@ -334,9 +399,8 @@ _SIDES = (("p", variational_derivative_p), ("q", variational_derivative_q))
 def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Difference of the two sides of the Hamiltonian identity; identically
     zero off-shell for every smooth H and point symmetry."""
-    lhs = invariance_residual(sys, X)
+    lhs = _residual(sys, X)
     lift, H, X = _algebra(sys, X)
-    lhs = lift(lhs)
     rhs = X.xi * (total_derivative(H) - partial_diff(H, TIME))
     boundary = -X.xi * H
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
@@ -344,7 +408,7 @@ def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
         rhs += zeta * (lift(coord_deriv(i)) - partial_diff(H, momentum(i)))
         boundary += lift(momentum(i)) * eta
     rhs += total_derivative(boundary)
-    return simplify(lhs - rhs).as_expr()
+    return to_expr(simplify(lhs - rhs))
 
 
 def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list:
@@ -369,9 +433,8 @@ def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr,
     momentum side first (j=1..n), then coordinate side. Each right-hand side
     is +-(the direct condition) plus multiples of the canonical equations."""
     n = sys.n
-    residual, conditions = invariance_residual(sys, X), _direct_conditions(sys, X)
+    residual, conditions = _residual(sys, X), _direct_conditions(sys, X)
     lift, H, X = _algebra(sys, X)
-    residual = lift(residual)
     dxi = total_derivative(X.xi)
     commutator = total_derivative(H) - partial_diff(H, TIME)
     eq_q = [lift(momentum_deriv(i)) + partial_diff(H, coord(i)) for i in range(1, n + 1)]
@@ -386,7 +449,7 @@ def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr,
             rhs += partial_diff(X.xi, w) * commutator
             for i in range(n):
                 rhs += partial_diff(X.zeta[i], w) * eq_p[i] - partial_diff(X.eta[i], w) * eq_q[i]
-            out.append(simplify(vard(residual, j) - rhs).as_expr())
+            out.append(to_expr(simplify(vard(residual, j) - rhs)))
     return tuple(out)
 
 
@@ -395,7 +458,7 @@ def theorem4_conditions(
 ) -> tuple[Verdict, ...]:
     """On-shell verdicts of the 2n variational-derivative conditions that
     characterize invariance of the canonical equations."""
-    residual = invariance_residual(sys, X)
+    residual = _residual(sys, X)
     return tuple(
         _zero(sys, on_shell(sys, vard(residual, j)), f"theorem4:{X.name}:{side}{j}", seed, tol)
         for side, vard in _SIDES
@@ -409,7 +472,7 @@ def equation_invariance_direct(
     """Apply X directly to the canonical equations; 2n on-shell verdicts,
     momentum side first."""
     return tuple(
-        _zero(sys, on_shell(sys, condition.as_expr()), f"direct:{X.name}:{k}", seed, tol)
+        _zero(sys, on_shell(sys, condition), f"direct:{X.name}:{k}", seed, tol)
         for k, condition in enumerate(_direct_conditions(sys, X))
     )
 
@@ -436,11 +499,12 @@ def relation_check(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Substitute integral expressions into a relation and test it against
-    its constant."""
+    its constant, in the exact algebra of the result when there is one."""
     e = relation_expression(integrals, relation, sys)
     if e is None:
         raise HamsymError(f"relation {relation.name} references an integral not among {sorted(integrals)}")
-    return _zero(sys, e - relation.equals, f"relation:{relation.name}", seed, tol)
+    _, (e,) = _lifted(sys, (e - relation.equals,))
+    return _zero(sys, e, f"relation:{relation.name}", seed, tol)
 
 
 def functional_independence(
@@ -474,6 +538,8 @@ def build_report(
     """Run the full per-symmetry pipeline: the divergence decision, Theorem 4,
     direct invariance, and the integral when the decision justifies one."""
     theorem1, divergence_status, divergence, divergence_verdict = _divergence(sys, X, seed, tol)
+    if theorem1 is None:
+        theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
     justified = divergence_verdict is not None and divergence_verdict.is_zero
     return InvarianceReport(
         symmetry=X.name,

@@ -343,13 +343,15 @@ def test_check_builds_shared_objects_once(capsys, monkeypatch):
 
     monkeypatch.setattr(hamsym.noether, "canonical_equations", counted)
     # repeated calls hit the memos, so builds are counted as cache misses
-    memos = (hamsym.noether._on_shell_maps, hamsym.noether.invariance_residual)
+    memos = (hamsym.noether._on_shell_maps, hamsym.noether._residual)
     for memo in memos:
         memo.cache_clear()
     code, _, _ = run(capsys, "check", "--example", "example1", "--json")
     assert code == 0
-    # one system with three symmetries
-    assert calls == {"canonical_equations": 1}
+    # one system with three symmetries, all in one jet field; its on-shell
+    # map differentiates H there, so the Expr canonical equations, which the
+    # integrator and the Expr fallback read, are not built at all
+    assert calls == {}
     assert [memo.cache_info().misses for memo in memos] == [1, 3]
 
 
@@ -391,9 +393,25 @@ def test_integral_and_check_make_one_decision(capsys, tmp_path, source):
             assert report["symmetries"][0]["integral"] == entry["integral"], entry["name"]
 
 
+def test_failing_divergence_verdict_is_named(capsys, tmp_path):
+    # the wrong V of X1 fails with a witness; the passing symmetries' entries gain no key
+    path = str(_wrong_v_file(tmp_path))
+    code, payload, _ = run_json(capsys, "check", "--file", path, "--seed", "42")
+    divergence = {entry["name"]: entry["divergence"] for entry in payload["symmetries"]}
+    assert code == 1
+    assert divergence["X1"]["verdict"]["status"] == "nonzero" and divergence["X1"]["verdict"]["witness"]
+    assert divergence["X2"] == {"status": "zero", "v": "0"}
+    assert divergence["X3"] == {"status": "synthesized", "v": "(1/2)*q1^2"}
+    code, out, _ = run(capsys, "check", "--file", path, "--seed", "42")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "X1: theorem1 proven-zero; divergence user-supplied (nonzero); v = q1; theorem4 pass; direct pass; no integral"
+    )
+
+
 def test_identity_check_builds_one_residual_per_case():
     # Lemma 1 and Lemma 2 read the same residual
-    residual = hamsym.noether.invariance_residual
+    residual = hamsym.noether._residual
     residual.cache_clear()
     identity_check(2, 3, 2)
     assert residual.cache_info().misses == 2

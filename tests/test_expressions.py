@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 import sympy as sp
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 import hamsym.expressions
 from hamsym.expressions import (
@@ -20,6 +22,7 @@ from hamsym.expressions import (
     derive_seed,
     evaluate,
     is_zero,
+    jet_algebra,
     jet_order,
     jet_ring,
     momentum,
@@ -28,6 +31,7 @@ from hamsym.expressions import (
     random_polynomial,
     sample_point,
     simplify,
+    to_expr,
     total_derivative,
 )
 from hamsym.noether import verify_first_integral
@@ -139,6 +143,53 @@ class TestJetRing:
     def test_simplify_keeps_element(self):
         element = jet_ring(1).from_expr(q**2 - p)
         assert simplify(element) is element
+
+
+class TestJetField:
+    """Rational functions over QQ with one generator u per radical b^(1/m):
+    the arithmetic treats u as free, derivatives follow the chain rule
+    du/dx = u*(db/dx)/(m*b), and the zero test applies u^m = b."""
+
+    r = sp.sqrt(q**2 + p**2)
+
+    def test_derivatives_agree_with_expr(self):
+        cube_root = (q**2 + 1) ** sp.Rational(1, 3)
+        for e in (1 / q**2 + p * dq, self.r**3 / (q - p) + dp * self.r, cube_root * TIME / self.r):
+            _, (element,) = jet_algebra(1, [e])
+            assert isinstance(element, FracElement)
+            for s in (TIME, q, p, dq, dp):
+                assert sp.cancel(to_expr(partial_diff(element, s)) - partial_diff(e, s)) == 0
+            assert sp.cancel(to_expr(total_derivative(element)) - total_derivative(e)) == 0
+
+    def test_relation_proves_zero(self):
+        # u^2 - q^2 - p^2 is not zero as a rational function of u, q and p
+        _, (element,) = jet_algebra(1, [(self.r + q) * (self.r - q) - p**2])
+        assert element != 0 and is_zero(element).status == Verdict.PROVEN
+
+    def test_square_root_of_a_square_is_never_proven_zero(self):
+        # sympy writes sqrt(q^2) as Abs(q), which no exact algebra holds
+        assert jet_algebra(1, [sp.sqrt(q**2) - q]) is None
+        assert is_zero(sp.sqrt(q**2) - q).status == Verdict.NONZERO
+        # an expanded square keeps its radical; u = -(q + p) also solves u^2 = b
+        e = sp.sqrt(sp.expand((q + p) ** 2)) - (q + p)
+        _, (element,) = jet_algebra(1, [e])
+        assert isinstance(element, FracElement)
+        assert is_zero(element).status == Verdict.NONZERO
+        assert is_zero(e).status == Verdict.NONZERO
+
+    def test_nested_radicals_and_functions_fall_back_to_sampling(self):
+        nested = sp.sqrt(2 + sp.sqrt(q)) * sp.sqrt(2 - sp.sqrt(q)) - sp.sqrt(4 - q)
+        pythagoras = sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1
+        for e in (nested, pythagoras):
+            assert jet_algebra(1, [e]) is None
+            assert is_zero(e).status == Verdict.NUMERIC
+
+    def test_algebra_choice(self):
+        k = sp.Symbol("k", real=True)
+        assert isinstance(jet_algebra(1, [q**2 * p, dq])[1][0], PolyElement)
+        assert isinstance(jet_algebra(1, [q**2 * p, 1 / q])[1][0], FracElement)
+        assert jet_algebra(1, [q * k]) is None  # an unbound parameter
+        assert jet_algebra(1, [sp.Float(0.5) * q]) is None
 
 
 class TestSimplify:

@@ -1,9 +1,12 @@
 """Invariance checks, divergence terms, first integrals and the off-shell
 identities, exercised on the built-in example systems."""
+from dataclasses import replace
 from random import Random
 
 import pytest
 import sympy as sp
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 import hamsym.noether
 from hamsym.expressions import (
@@ -15,6 +18,7 @@ from hamsym.expressions import (
     momentum,
     momentum_deriv,
     simplify,
+    to_expr,
     total_derivative,
 )
 from hamsym.identity import random_pair
@@ -169,6 +173,15 @@ class TestFirstIntegral:
         I = first_integral(example1.system, X3, seed=SEED)
         assert I == build_report(example1.system, X3, seed=SEED).integral
 
+    def test_supplied_v_skips_theorem1(self, kepler3, monkeypatch):
+        # the Lenz field's V is supplied, so only the divergence verdict gates I
+        calls = []
+        original = hamsym.noether.check_invariance
+        monkeypatch.setattr(hamsym.noether, "check_invariance", lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        I = first_integral(kepler3.system, kepler3.symmetry("Y1"), seed=SEED)
+        assert I.verified.status == Verdict.PROVEN
+        assert calls == []
+
     def test_refusal_names_a_failing_v(self, example1):
         with pytest.raises(InvarianceError, match=r"V = q1 \(nonzero\)"):
             first_integral(example1.system, example1.symmetry("X1"), v=q, seed=SEED)
@@ -262,39 +275,74 @@ class TestLemmas:
         assert all(r == 0 for r in lemma2_residuals(example1.system, X0))
 
 
-def _exact(sys, X):
-    lift, _, _ = hamsym.noether._algebra(sys, X)
-    return lift is not sp.sympify
+def _algebra_kind(sys, X):
+    """The algebra that the code of (sys, X) computes in."""
+    _, H, _ = hamsym.noether._algebra(sys, X)
+    return "ring" if isinstance(H, PolyElement) else "field" if isinstance(H, FracElement) else "expr"
 
 
-def test_algebra_choice(example1, kepler3):
+def test_algebra_choice(example1, coulomb, kepler3, oscillator):
     translation = PointSymmetry("T", sp.Integer(1), (sp.Integer(0),), (sp.Integer(0),))
-    assert _exact(FREE_PARTICLE, translation)
-    assert not _exact(FREE_PARTICLE, PointSymmetry("F", sp.Integer(1), (sp.Float(0.5) * q,), (sp.Integer(0),)))
-    assert not _exact(example1.system, example1.symmetry("X1"))  # 1/q1^2
-    assert not _exact(kepler3.system, kepler3.symmetry("X0"))  # the parameter K and a radical
+    assert _algebra_kind(FREE_PARTICLE, translation) == "ring"
+    rng = Random(0)
+    assert all(_algebra_kind(*random_pair(2, 3, rng)) == "ring" for _ in range(4))
+    floating = PointSymmetry("F", sp.Integer(1), (sp.Float(0.5) * q,), (sp.Integer(0),))
+    assert _algebra_kind(FREE_PARTICLE, floating) == "expr"
+    # 1/q1^2, 1/q1, and kepler3's radical |q| with its parameter K bound
+    for defn in (example1, coulomb, kepler3):
+        assert {_algebra_kind(defn.system, X) for X in defn.symmetries} == {"field"}
+    # the oscillator's arctan integral, as the V of the field that it generates
+    angle = sp.atan(p / q) + TIME
+    X = hamiltonian_vector_field(oscillator.system, angle)
+    assert _algebra_kind(oscillator.system, X) == "field"
+    assert _algebra_kind(oscillator.system, replace(X, v=p * sp.diff(angle, p) - angle)) == "expr"
+
+
+_MEMOS = (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._on_shell_maps)
+
+
+def _clear_algebra_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _residual_and_conditions(sys, X):
-    conditions = [simplify(c.as_expr()) for c in hamsym.noether._direct_conditions(sys, X)]
+    conditions = [simplify(to_expr(c)) for c in hamsym.noether._direct_conditions(sys, X)]
     return [simplify(invariance_residual(sys, X)), *conditions]
+
+
+def _expr_algebra(monkeypatch):
+    """Compute every (sys, X) over Expr from here on."""
+    _clear_algebra_memos()
+    monkeypatch.setattr(hamsym.noether, "_algebra", lambda sys, X: (sp.sympify, sys.hamiltonian, X))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ring_and_expr_algebras_agree(n, monkeypatch):
     rng = Random(n)
     pairs = [random_pair(n, 3, rng) for _ in range(4)]
-    memos = (hamsym.noether._algebra, invariance_residual)
-    for memo in memos:
-        memo.cache_clear()
-    assert all(_exact(sys, X) for sys, X in pairs)
+    _clear_algebra_memos()
+    assert all(_algebra_kind(sys, X) == "ring" for sys, X in pairs)
     ring = [_residual_and_conditions(sys, X) for sys, X in pairs]
-    for memo in memos:
-        memo.cache_clear()
-    monkeypatch.setattr(hamsym.noether, "_algebra", lambda sys, X: (sp.sympify, sys.hamiltonian, X))
+    _expr_algebra(monkeypatch)
     expr = [_residual_and_conditions(sys, X) for sys, X in pairs]
-    invariance_residual.cache_clear()
+    _clear_algebra_memos()
     assert ring == expr
+
+
+@pytest.mark.parametrize("name", ["example1", "coulomb", "oscillator", "kepler2", "kepler3"])
+def test_exact_and_expr_on_shell_residuals_agree(request, name, monkeypatch):
+    # the on-shell residual of every bundled symmetry, computed in its exact
+    # algebra and brought back as an Expr, cancels against the Expr path's
+    defn = request.getfixturevalue(name)
+    sys_ = defn.system
+    _clear_algebra_memos()
+    exact = [to_expr(on_shell(sys_, hamsym.noether._residual(sys_, X))) for X in defn.symmetries]
+    _expr_algebra(monkeypatch)
+    expr = [on_shell(sys_, hamsym.noether._residual(sys_, X)) for X in defn.symmetries]
+    _clear_algebra_memos()
+    for X, a, b in zip(defn.symmetries, exact, expr):
+        assert sp.cancel(a - sys_.bind(b)) == 0, X.name
 
 
 class TestEquationInvariance:
