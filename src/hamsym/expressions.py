@@ -170,28 +170,30 @@ def state_symbols(n: int) -> tuple[sp.Symbol, ...]:
 
 
 @lru_cache(maxsize=4)
-def jet_ring(n: int) -> PolyRing:
-    """The polynomial ring over QQ in the state symbols and the jet symbols
-    of dimension n up to order 2; its generators are the same Symbol objects."""
+def jet_ring(n: int, parameters: tuple[sp.Symbol, ...] = ()) -> PolyRing:
+    """The polynomial ring over QQ in the state symbols, the jet symbols of
+    dimension n up to order 2, then `parameters`, as Symbol generators."""
     indices = range(1, n + 1)
     jets = [maker(i, order) for order in (1, 2) for maker in (coord_deriv, momentum_deriv) for i in indices]
-    return PolyRing([*state_symbols(n), *jets], QQ)
+    return PolyRing([*state_symbols(n), *jets, *parameters], QQ)
 
 
 @lru_cache(maxsize=16)
-def jet_field(n: int, radicals: tuple[tuple[sp.Expr, int], ...] = ()) -> FracField:
+def jet_field(
+    n: int, radicals: tuple[tuple[sp.Expr, int], ...] = (), parameters: tuple[sp.Symbol, ...] = ()
+) -> FracField:
     """The field of rational functions over QQ in one generator u = b^(1/m)
-    per radical (b, m), then the jet_ring(n) symbols, in lex order with the
-    radicals first. Each base b is a polynomial over QQ in the state
-    symbols. The arithmetic treats u as free; the zero test and to_expr
-    apply the relation u^m = b, and derivatives its chain rule."""
+    per radical (b, m), then the jet_ring(n, parameters) symbols, in lex
+    order with the radicals first. Each base b is a polynomial over QQ in
+    the state symbols. The arithmetic treats u as free; the zero test and
+    to_expr apply the relation u^m = b, and derivatives its chain rule."""
     roots = []
     for b, m in radicals:
         root = b ** sp.Rational(1, m)
         if not (root.is_Pow and root.base == b and root.exp == sp.Rational(1, m)):
             raise ValueError(f"({b})^(1/{m}) does not stay a radical")
         roots.append(root)
-    return FracField((*roots, *jet_ring(n).symbols), QQ)
+    return FracField((*roots, *jet_ring(n, parameters).symbols), QQ)
 
 
 @lru_cache(maxsize=16)
@@ -207,14 +209,14 @@ def _roots(field: FracField) -> tuple[tuple[int, PolyElement, int, PolyElement],
     return tuple(out)
 
 
-def jet_algebra(n: int, exprs: Sequence[sp.Expr]):
-    """(lift, the lifted exprs) in the first exact algebra of dimension n
-    that holds every expression of `exprs`, or None when none does. That is
-    the jet ring when all are polynomials over QQ in the jet symbols, else
-    the jet field of their radicals when all are rational functions over QQ
-    in the jet symbols and in radicals b^(k/m) of polynomial bases b in the
-    state symbols. Floats, unbound parameters, nested radicals and
-    trigonometric, exp or log terms have no exact algebra."""
+def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, ...] = ()):
+    """(lift, the lifted exprs) in the first exact algebra of dimension n and
+    `parameters` that holds every expression of `exprs`, or None when none
+    does. That is the jet ring when all are polynomials over QQ in its
+    symbols, else the jet field of their radicals when all are rational
+    functions over QQ in them and in radicals b^(k/m) of polynomial bases b
+    in the state symbols. Floats, other symbols, nested radicals, parameters
+    in a base and trigonometric, exp or log terms have no exact algebra."""
     exprs = [sp.sympify(e) for e in exprs]
     if any(e.atoms(sp.Float) for e in exprs):
         return None
@@ -223,7 +225,7 @@ def jet_algebra(n: int, exprs: Sequence[sp.Expr]):
         for node in e.atoms(sp.Pow):
             if node.exp.is_Rational and not node.exp.is_Integer:
                 denominators.setdefault(node.base, set()).add(node.exp.q)
-    ring = jet_ring(n)
+    ring = jet_ring(n, parameters)
     try:
         if not denominators:
             try:
@@ -232,10 +234,10 @@ def jet_algebra(n: int, exprs: Sequence[sp.Expr]):
                 pass  # a rational function
         for b in denominators:
             # a nested radical or a base that is not a polynomial raises here
-            if jet_order(ring.from_expr(b)) > 0:
+            if jet_order(ring.from_expr(b)) > 0 or not b.free_symbols.isdisjoint(parameters):
                 return None
         radicals = sorted(((b, reduce(math.lcm, qs)) for b, qs in denominators.items()), key=sp.default_sort_key)
-        field = jet_field(n, tuple(radicals))
+        field = jet_field(n, tuple(radicals), parameters)
         return field.from_expr, [field.from_expr(e) for e in exprs]
     except ValueError:
         return None
@@ -320,10 +322,10 @@ def _compose(P: PolyElement, values: Mapping) -> tuple[PolyElement, PolyElement]
 
 
 def substitute_jets(e, values: Mapping):
-    """e with each symbol of `values` replaced by its value, in e's algebra:
-    an Expr by xreplace, an exact element term by term over its numerator
-    and its denominator (FracElement.subs takes only constants). No value
-    may hold a symbol that `values` replaces."""
+    """e with each symbol of `values` replaced by its value (rational or in
+    e's algebra, free of the replaced symbols): an Expr by xreplace, an exact
+    element term by term over its numerator and denominator (FracElement.subs
+    takes only constants); a zero denominator raises ZeroDivisionError."""
     if isinstance(e, PolyElement):
         return _compose(e, values)[0]
     if isinstance(e, FracElement):

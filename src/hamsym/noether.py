@@ -31,6 +31,7 @@ from .expressions import (
     jet_order,
     momentum,
     momentum_deriv,
+    parameter,
     partial_diff,
     simplify,
     state_symbols,
@@ -86,10 +87,13 @@ def _phase_symbols(n: int):
 
 
 def _zero(sys: HamiltonianSystem, e, label: str, seed: int, tol: float) -> Verdict:
-    """The seeded zero test of e, parameters bound, for the check named
-    label; an element of an exact algebra holds them bound already."""
-    if algebra_lift(e) is sp.sympify:
-        e = sys.bind(e)
+    """The seeded zero test of e for the check named label: the one decision
+    that binds the parameters, in e's algebra; a pole there is inconclusive."""
+    if sys.parameters:
+        try:
+            e = sys.bind(e)
+        except ZeroDivisionError:
+            return Verdict(Verdict.INCONCLUSIVE)
     return is_zero(e, sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
@@ -109,14 +113,14 @@ def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
     substitution of every jet symbol, in the algebra of `lift`: each
     first-order jet goes to its canonical right-hand side, each second-order
     jet to the total derivative of that side with the first-order jets
-    already substituted. An exact algebra differentiates H itself, with the
-    parameters bound; Expr reads canonical_equations. Built once per
-    (system, algebra) and shared read-only by every caller."""
+    already substituted. An exact algebra differentiates H itself; Expr
+    reads canonical_equations. Built once per (system, algebra) and shared
+    read-only by every caller."""
     if lift is sp.sympify:
         qdot, pdot = canonical_equations(sys)
     else:
         qs, ps = _phase_symbols(sys.n)
-        H = lift(sys.bind(sys.hamiltonian))
+        H = lift(sys.hamiltonian)
         qdot, pdot = [partial_diff(H, p) for p in ps], [-partial_diff(H, q) for q in qs]
     first = {}
     for i in range(1, sys.n + 1):
@@ -137,10 +141,9 @@ def on_shell(sys: HamiltonianSystem, e):
 
 
 def _lifted(sys: HamiltonianSystem, exprs):
-    """(lift, exprs): `exprs` with the parameters bound in the exact jet
-    algebra that holds them all, and the map of an Expr into it; else
-    (sympify, exprs) unchanged, for Expr."""
-    found = jet_algebra(sys.n, [sys.bind(e) for e in exprs])
+    """(lift, exprs): `exprs` in the exact jet algebra of sys that holds them
+    all, and the map of an Expr into it; else (sympify, exprs), for Expr."""
+    found = jet_algebra(sys.n, exprs, tuple(map(parameter, sys.parameters)))
     return (sp.sympify, list(exprs)) if found is None else found
 
 
@@ -148,8 +151,8 @@ def _lifted(sys: HamiltonianSystem, exprs):
 def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     """(lift, H, X) in the algebra that the code of (sys, X) computes in,
     where lift maps an Expr into it: the exact jet algebra of H, X's
-    coefficients and X.v, with the parameters bound, whose arithmetic gives
-    normal forms directly; else Expr."""
+    coefficients and X.v, whose arithmetic gives normal forms directly;
+    else Expr."""
     n = len(X.eta)
     v = () if X.v is None else (X.v,)
     lift, (H, xi, *rest) = _lifted(sys, (sys.hamiltonian, X.xi, *X.eta, *X.zeta, *v))
@@ -179,8 +182,8 @@ def _residual(sys: HamiltonianSystem, X: PointSymmetry):
 
 
 def invariance_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
-    """The off-shell residual of (sys, X) as an Expr, simplified; its
-    parameters are bound when it was built in an exact algebra."""
+    """The off-shell residual of (sys, X) as an Expr, simplified, with its
+    parameters unbound."""
     return to_expr(_residual(sys, X))
 
 
@@ -266,13 +269,9 @@ def check_divergence_invariance(
 
 
 def _in_algebra(sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr):
-    """v in the exact algebra of (sys, X), or None when (sys, X) computes
-    over Expr or v leaves its algebra."""
-    lift, _, _ = _algebra(sys, X)
-    if lift is sp.sympify:
-        return None
+    """v in the algebra of (sys, X), or None when v leaves its exact algebra."""
     try:
-        return lift(sys.bind(v))
+        return _algebra(sys, X)[0](v)
     except ValueError:
         return None
 
@@ -326,16 +325,15 @@ def _noether_integral(lift, H, X: PointSymmetry, v):
 
 
 def _integral(sys, X, v, seed, tol) -> FirstIntegral:
-    """Construct I = p_i*eta^i - xi*H - V, simplified for print, and verify
-    it without gating: in the algebra of (sys, X) when V lies in it."""
-    expr = simplify(_noether_integral(sp.sympify, sys.hamiltonian, X, v))
+    """Build I = p_i*eta^i - xi*H - V once in the algebra of (sys, X), verify
+    it without gating, and print it; over Expr when V leaves an exact algebra."""
     lifted_v = _in_algebra(sys, X, v)
     if lifted_v is None:
-        verified = verify_first_integral(sys, expr, seed=seed, tol=tol)
-    else:
-        lift, H, lifted = _algebra(sys, X)
-        verified = _conserved(sys, _noether_integral(lift, H, lifted, lifted_v), seed, tol)
-    return FirstIntegral(name=X.name, expression=expr, verified=verified)
+        expr = simplify(_noether_integral(sp.sympify, sys.hamiltonian, X, v))
+        return FirstIntegral(X.name, expr, verify_first_integral(sys, expr, seed=seed, tol=tol))
+    lift, H, lifted = _algebra(sys, X)
+    integral = simplify(_noether_integral(lift, H, lifted, lifted_v))
+    return FirstIntegral(X.name, to_expr(integral), _conserved(sys, integral, seed, tol))
 
 
 def _conserved(sys: HamiltonianSystem, integral, seed: int, tol: float) -> Verdict:

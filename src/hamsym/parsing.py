@@ -196,9 +196,16 @@ class _Parser:
 
 
 def parse_expression(text: str, ctx: ParseContext) -> sp.Expr:
+    """Parse text; an input that sympy rewrites into a node the formatter
+    cannot print (sqrt(q1^2) into Abs, arctan(1) into pi) is refused."""
     if not isinstance(text, str):
         raise ParseError("input is not text", 0)
-    return _Parser(_tokenize(text), ctx).parse()
+    e = _Parser(_tokenize(text), ctx).parse()
+    try:
+        format_expression(e)
+    except ValueError as exc:
+        raise ParseError(f"input has no written form: {exc}", 0) from None
+    return e
 
 
 # --- formatting ----------------------------------------------------------

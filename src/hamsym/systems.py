@@ -6,7 +6,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .expressions import Verdict, jet_order, symbol_info
+from .expressions import Verdict, jet_order, substitute_jets, symbol_info
 
 __all__ = [
     "HamsymError",
@@ -55,9 +55,9 @@ class HamiltonianSystem:
             _check_phase_expr(g, self.n, "singularity guard", self.parameters)
 
     def bind(self, e: sp.Expr) -> sp.Expr:
-        """Substitute parameter values for numeric work."""
+        """Substitute the parameter values into e in its algebra (substitute_jets)."""
         subs = {sp.Symbol(name, real=True): value for name, value in self.parameters.items()}
-        return sp.sympify(e).xreplace(subs)
+        return substitute_jets(e, subs)
 
     @property
     def bound_singularities(self) -> tuple[sp.Expr, ...]:

@@ -7,11 +7,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import sympy
 
 import hamsym.cli
 import hamsym.noether
 from hamsym.cli import main
 from hamsym.identity import identity_check
+from hamsym.registry import EXAMPLES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -292,7 +294,7 @@ class TestIdentityCheck:
     "argv, golden",
     [
         pytest.param(["check", "--example", example, "--seed", "42"], f"check-{example}-seed42.json", id=example)
-        for example in ("example1", "coulomb", "oscillator", "kepler2")
+        for example in ("example1", "coulomb", "oscillator", "kepler2", "kepler3")
     ]
     + [
         pytest.param(
@@ -353,6 +355,62 @@ def test_check_builds_shared_objects_once(capsys, monkeypatch):
     # integrator and the Expr fallback read, are not built at all
     assert calls == {}
     assert [memo.cache_info().misses for memo in memos] == [1, 3]
+
+
+@pytest.mark.parametrize("example", ["example1", "kepler2", "kepler3"])
+def test_check_builds_integrals_without_expr_canonicalization(capsys, monkeypatch, example):
+    # each integral is built, decided and printed in its exact algebra
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(sympy, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("together", "cancel"):
+        monkeypatch.setattr(sympy, name, counting(name))
+    for memo in (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._on_shell_maps):
+        memo.cache_clear()
+    code, _, _ = run(capsys, "check", "--example", example, "--json")
+    assert code == (1 if example == "kepler3" else 0)  # kepler3's X1 fails by design
+    assert calls == {}
+
+
+@pytest.mark.parametrize("equals, code, status", [(16, 0, "proven-zero"), (1, 1, "nonzero")])
+def test_parameter_value_decides_the_relation(capsys, tmp_path, equals, code, status):
+    # Y1^2 + Y2^2 + 2*X0*X12^2 = K^4: the integrals keep K, the decision binds K = 2
+    path = tmp_path / "kepler2.txt"
+    path.write_text(EXAMPLES["kepler2"].replace("K = 1", "K = 2").replace("equals = 1", f"equals = {equals}"))
+    got, payload, _ = run_json(capsys, "check", "--file", str(path), "--seed", "42")
+    assert got == code
+    assert all(e["integral"]["verified"]["status"] == "proven-zero" for e in payload["symmetries"])
+    assert payload["relations"] == [{"name": "lenz-energy-momentum", "status": status}]
+
+
+@pytest.mark.parametrize(
+    "source, expression, code, status",
+    [
+        # a radical base with a parameter has no exact algebra: its relation u^2 = b would keep K
+        (
+            'hamiltonian = "p1^2/2 + sqrt(K*q1^2 + 1)"\nparameters = { K = 2 }',
+            "p1^2/2 + sqrt(2*q1^2 + 1)",
+            0,
+            "proven-zero",
+        ),
+        # K = 0 is a pole of the on-shell dq1 = p1/K
+        ('hamiltonian = "p1^2/(2*K) + q1^2/2"\nparameters = { K = 0 }', "q1", 1, "inconclusive"),
+    ],
+    ids=["radical-base", "pole"],
+)
+def test_parameter_values_are_bound_to_decide(capsys, tmp_path, source, expression, code, status):
+    path = tmp_path / "system.txt"
+    path.write_text(f"[system]\nn = 1\n{source}\n")
+    got, payload, err = run_json(capsys, "verify", "--file", str(path), expression)
+    assert (got, payload["verdict"]["status"]) == (code, status) and "Traceback" not in err
 
 
 def test_simulate_builds_canonical_equations_once(capsys):
@@ -429,6 +487,10 @@ class TestExitCodes:
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "inf"), "finite"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h=1e-300"), "1e+300 steps"),
             (("simulate", "--example", "oscillator", "--state", "nan,0"), "finite"),
+            # inputs that sympy rewrites into Abs, pi and I, which the DSL cannot print
+            (("verify", "--example", "example1", "sqrt(q1^2)"), "no written form"),
+            (("verify", "--example", "example1", "arctan(1)*q1"), "no written form"),
+            (("verify", "--example", "example1", "log(-1)*q1"), "no written form"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):
@@ -492,6 +554,12 @@ class TestExitCodes:
         path.write_text(source)
         code, _, err = run(capsys, "check", "--file", str(path))
         assert code == 2 and "zero denominator" in err and "Traceback" not in err
+
+    def test_unprintable_hamiltonian_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "abs.txt"
+        path.write_text('[system]\nn = 1\nhamiltonian = "p1^2/2 + sqrt(q1^2)"\n')
+        code, _, err = run(capsys, "check", "--file", str(path))
+        assert code == 2 and "no written form" in err and "Traceback" not in err
 
     def test_reserved_parameter_exits_2(self, capsys, tmp_path):
         path = tmp_path / "reserved.txt"

@@ -189,6 +189,9 @@ class TestJetField:
         assert isinstance(jet_algebra(1, [q**2 * p, dq])[1][0], PolyElement)
         assert isinstance(jet_algebra(1, [q**2 * p, 1 / q])[1][0], FracElement)
         assert jet_algebra(1, [q * k]) is None  # an unbound parameter
+        assert isinstance(jet_algebra(1, [q * k], (k,))[1][0], PolyElement)
+        assert isinstance(jet_algebra(1, [p**2 / k + 1 / sp.sqrt(q**2 + 1)], (k,))[1][0], FracElement)
+        assert jet_algebra(1, [sp.sqrt(k * q**2 + 1)], (k,)) is None  # u^2 = b would keep k
         assert jet_algebra(1, [sp.Float(0.5) * q]) is None
 
 
