@@ -394,20 +394,14 @@ def _field_derivative(e: FracElement, weights: Sequence[tuple[int, PolyElement]]
 def partial_diff(e: sp.Expr | PolyElement | FracElement, s: sp.Symbol) -> sp.Expr | PolyElement | FracElement:
     """de/ds, in the algebra of e; in a jet field through the chain rule
     du/ds = u*(db/ds)/(m*b) of each radical u = b^(1/m), in the form
-    (db/ds)/(m*u^(m-1)) (see _field_derivative). A sum of Exprs is
-    differentiated term by term, as sympy does, but without sympy's closing
-    test of whether the whole derivative is zero: on large polynomials in
-    real symbols that assumption query costs more than the derivative."""
+    (db/ds)/(m*u^(m-1)) (see _field_derivative); an Expr by sympy's diff."""
     if isinstance(e, PolyElement):
         symbols = e.ring.symbols
         return e.diff(symbols.index(s)) if s in symbols else e.ring.zero
     if isinstance(e, FracElement):
         symbols = e.field.symbols
         return _field_derivative(e, [(symbols.index(s), e.field.ring.one)] if s in symbols else [])
-    e = sp.sympify(e)
-    if e.is_Add:
-        return e.func(*(sp.diff(a, s) for a in e.args))
-    return sp.diff(e, s)
+    return sp.diff(sp.sympify(e), s)
 
 
 def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:
@@ -439,10 +433,10 @@ def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyEl
 
 
 def simplify(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:
-    """Canonicalize: constant folding, like-term collection and
-    rational-function normalization over a common denominator. An element
-    of a jet ring or field is already in normal form and comes back
-    unchanged.
+    """Canonicalize an Expr: a polynomial by expand, any other Expr by
+    sympy's cancel, which puts it over one common denominator and treats the
+    powers b^(k/m) of one base as powers of one generator. An element of a
+    jet ring or field is already in normal form and comes back unchanged.
 
     Transcendental subterms are treated as atoms, so this need not prove
     identities such as sin^2 + cos^2 = 1; is_zero covers those numerically.
@@ -454,10 +448,7 @@ def simplify(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | 
         # doit() re-evaluates any explicitly unevaluated Add/Mul nodes,
         # which expand alone leaves in place
         return sp.expand(e.doit())
-    e = sp.together(e)
-    hidden, back = _hide_radicals(e)
-    out = sp.cancel(hidden)
-    return out.xreplace(back)
+    return sp.cancel(e)
 
 
 def _is_plain_polynomial(e: sp.Expr) -> bool:
@@ -466,32 +457,6 @@ def _is_plain_polynomial(e: sp.Expr) -> bool:
     if e.atoms(sp.Function):
         return False
     return all(p.exp.is_Integer and p.exp > 0 for p in e.atoms(sp.Pow))
-
-
-def _hide_radicals(e: sp.Expr) -> tuple[sp.Expr, dict]:
-    """Swap each fractional-power base for a flat generator symbol so cancel
-    works over plain polynomials; exactly invertible via the returned map.
-
-    Integer powers of the same base are left alone: sympy folds products of
-    same-base powers at construction, so integer and fractional occurrences
-    never need to be identified after the fact.
-    """
-    bases: dict[sp.Expr, set[int]] = {}
-    for node in e.atoms(sp.Pow):
-        if node.exp.is_Rational and not node.exp.is_Integer:
-            bases.setdefault(node.base, set()).add(node.exp.q)
-    if not bases:
-        return e, {}
-    forward = {}
-    back = {}
-    for b, denominators in bases.items():
-        m = reduce(math.lcm, denominators)
-        u = sp.Dummy("r", real=True)
-        for node in e.atoms(sp.Pow):
-            if node.base == b and node.exp.is_Rational and not node.exp.is_Integer:
-                forward[node] = u ** int(node.exp * m)
-        back[u] = b ** sp.Rational(1, m)
-    return e.xreplace(forward), back
 
 
 # The one singularity rule: a numeric evaluation is singular when it raises
@@ -622,11 +587,11 @@ def is_zero(
 
     An element of a jet ring or field is proven zero by exact arithmetic
     (a field element when its numerator reduces to zero by the radical
-    relations); an Expr by its canonical form. Anything else is converted
-    to an Expr and sampled: only sampling may say 'nonzero'. The numeric
-    tolerance is relative to the magnitude of the expression's additive
-    terms at each point, so cancellations of large terms count. It must be
-    positive and finite: no value exceeds a NaN or infinite bound.
+    relations); an Expr by its canonical form from simplify. Anything else
+    is converted to an Expr and sampled: only sampling may say 'nonzero'.
+    The numeric tolerance is relative to the magnitude of the expression's
+    additive terms at each point, so cancellations of large terms count. It
+    must be positive and finite: no value exceeds a NaN or infinite bound.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ExpressionError(f"tolerance must be positive and finite, got {tol!r}")

@@ -80,12 +80,6 @@ class InvarianceError(HamsymError):
     """Raised when an integral is requested for a non-invariant Hamiltonian."""
 
 
-def _phase_symbols(n: int):
-    """(q1..qn), (p1..pn) of the state layout."""
-    state = state_symbols(n)
-    return state[1 : n + 1], state[n + 1 :]
-
-
 def _zero(sys: HamiltonianSystem, e, label: str, seed: int, tol: float) -> Verdict:
     """The seeded zero test of e for the check named label: the one decision
     that binds the parameters, in e's algebra; a pole there is inconclusive."""
@@ -97,31 +91,30 @@ def _zero(sys: HamiltonianSystem, e, label: str, seed: int, tol: float) -> Verdi
     return is_zero(e, sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
+def _hamilton_equations(n: int, H):
+    """(dH/dp_i, -dH/dq^i) for i = 1..n, in the algebra of H."""
+    state = state_symbols(n)
+    qs, ps = state[1 : n + 1], state[n + 1 :]
+    return tuple(partial_diff(H, p) for p in ps), tuple(-partial_diff(H, q) for q in qs)
+
+
 @lru_cache(maxsize=8)
 def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tuple[sp.Expr, ...]]:
-    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations,
-    built once per system for the on-shell maps and the integrator."""
-    qs, ps = _phase_symbols(sys.n)
-    qdot = tuple(simplify(partial_diff(sys.hamiltonian, p)) for p in ps)
-    pdot = tuple(simplify(-partial_diff(sys.hamiltonian, q)) for q in qs)
-    return qdot, pdot
+    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations as the
+    Exprs that differentiating H gives, uncanonicalized; built once per
+    system for the integrator and evolutionary_form."""
+    return _hamilton_equations(sys.n, sys.hamiltonian)
 
 
 @lru_cache(maxsize=8)
 def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
     """The canonical equations and their differential consequences as one
     substitution of every jet symbol, in the algebra of `lift`: each
-    first-order jet goes to its canonical right-hand side, each second-order
-    jet to the total derivative of that side with the first-order jets
-    already substituted. An exact algebra differentiates H itself; Expr
-    reads canonical_equations. Built once per (system, algebra) and shared
-    read-only by every caller."""
-    if lift is sp.sympify:
-        qdot, pdot = canonical_equations(sys)
-    else:
-        qs, ps = _phase_symbols(sys.n)
-        H = lift(sys.hamiltonian)
-        qdot, pdot = [partial_diff(H, p) for p in ps], [-partial_diff(H, q) for q in qs]
+    first-order jet goes to its canonical right-hand side, the derivative of
+    lift(H), each second-order jet to the total derivative of that side with
+    the first-order jets already substituted. Built once per (system,
+    algebra) and shared read-only by every caller."""
+    qdot, pdot = _hamilton_equations(sys.n, lift(sys.hamiltonian))
     first = {}
     for i in range(1, sys.n + 1):
         first[coord_deriv(i)] = qdot[i - 1]
@@ -135,9 +128,10 @@ def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
 
 def on_shell(sys: HamiltonianSystem, e):
     """Substitute the canonical equations and their differential consequences
-    for all jet symbols; the result is a function of (t, q, p) only. An
-    element of a jet ring or field is substituted in its own algebra."""
-    return simplify(substitute_jets(e, _on_shell_maps(sys, algebra_lift(e))))
+    for all jet symbols; the result is a function of (t, q, p) only, in the
+    algebra of e. An Expr comes back uncanonicalized: the zero test
+    canonicalizes it."""
+    return substitute_jets(e, _on_shell_maps(sys, algebra_lift(e)))
 
 
 def _lifted(sys: HamiltonianSystem, exprs):
@@ -354,22 +348,16 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: st
     """The phase-space vector field generated by I: eta = dI/dp, zeta = -dI/dq."""
     if jet_order(integral) > 0:
         raise HamsymError("generating function must not contain jet symbols")
-    qs, ps = _phase_symbols(sys.n)
-    return PointSymmetry(
-        name=name,
-        xi=sp.Integer(0),
-        eta=tuple(simplify(partial_diff(integral, p)) for p in ps),
-        zeta=tuple(simplify(-partial_diff(integral, q)) for q in qs),
-    )
+    eta, zeta = _hamilton_equations(sys.n, integral)
+    return PointSymmetry(name, sp.Integer(0), tuple(map(simplify, eta)), tuple(map(simplify, zeta)))
 
 
 def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry:
     """On-shell evolutionary representative: xi = 0 with the time shift
     absorbed into the dependent components."""
-    qs, ps = _phase_symbols(sys.n)
-    H = sys.hamiltonian
-    eta = tuple(simplify(X.eta[i] - X.xi * partial_diff(H, ps[i])) for i in range(sys.n))
-    zeta = tuple(simplify(X.zeta[i] + X.xi * partial_diff(H, qs[i])) for i in range(sys.n))
+    qdot, pdot = canonical_equations(sys)
+    eta = tuple(simplify(X.eta[i] - X.xi * qdot[i]) for i in range(sys.n))
+    zeta = tuple(simplify(X.zeta[i] - X.xi * pdot[i]) for i in range(sys.n))
     return PointSymmetry(name=f"{X.name}~", xi=sp.Integer(0), eta=eta, zeta=zeta)
 
 

@@ -6,7 +6,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .expressions import Verdict, jet_order, substitute_jets, symbol_info
+from .expressions import Verdict, jet_order, parameter, substitute_jets, symbol_info
 
 __all__ = [
     "HamsymError",
@@ -50,6 +50,11 @@ class HamiltonianSystem:
     def __post_init__(self):
         if self.n < 1:
             raise HamsymError("dimension must be >= 1")
+        for name in self.parameters:
+            try:
+                parameter(name)
+            except ValueError as exc:
+                raise HamsymError(str(exc)) from None
         _check_phase_expr(self.hamiltonian, self.n, "hamiltonian", self.parameters)
         for g in self.singularities:
             _check_phase_expr(g, self.n, "singularity guard", self.parameters)

@@ -326,12 +326,59 @@ class TestIdentityCheck:
                 ["simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--t1", "1", "--seed", "42"],
                 "simulate-example1-seed42.json",
             ),
+            # Kepler's right-hand side -K^2*q/(r^2)^(3/2), whose form moves the drift's last bits
+            (
+                ["simulate", "--example", "kepler3", "--state", "1,0,0,0,1,0.2", "--h", "0.001", "--t1", "10"]
+                + ["--seed", "42"],
+                "simulate-kepler3-seed42.json",
+            ),
         )
     ],
 )
 def test_check_json_matches_golden_bytes(capsys, argv, golden):
     # any intended change to the report must update these files
     main([*argv, "--json"])
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+PENDULUM = """\
+[system]
+n = 1
+hamiltonian = "p1^2/2 - cos(q1)"
+
+[[symmetry]]
+name = "X1"
+xi = "1"
+eta = ["0"]
+zeta = ["0"]
+
+[[symmetry]]
+name = "S"
+xi = "0"
+eta = ["1"]
+zeta = ["0"]
+
+[[symmetry]]
+name = "G"
+xi = "0"
+eta = ["t"]
+zeta = ["1"]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["check"], "check-pendulum-seed42.json"),
+        (["simulate", "--state", "1,0", "--t1", "10"], "simulate-pendulum-seed42.json"),
+    ],
+    ids=["check", "simulate"],
+)
+def test_expr_fallback_matches_golden_bytes(capsys, tmp_path, argv, golden):
+    # cos(q1) has no exact algebra: the report and the integrator run on Expr
+    path = tmp_path / "pendulum.txt"
+    path.write_text(PENDULUM)
+    main([*argv, "--file", str(path), "--seed", "42", "--json"])
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
@@ -351,15 +398,30 @@ def test_check_builds_shared_objects_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "check", "--example", "example1", "--json")
     assert code == 0
     # one system with three symmetries, all in one jet field; its on-shell
-    # map differentiates H there, so the Expr canonical equations, which the
-    # integrator and the Expr fallback read, are not built at all
+    # map differentiates H there, so the canonical equations, which only the
+    # integrator and evolutionary_form read, are not built at all
     assert calls == {}
     assert [memo.cache_info().misses for memo in memos] == [1, 3]
 
 
-@pytest.mark.parametrize("example", ["example1", "kepler2", "kepler3"])
-def test_check_builds_integrals_without_expr_canonicalization(capsys, monkeypatch, example):
-    # each integral is built, decided and printed in its exact algebra
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["check", "--example", example], int(example in ("coulomb", "kepler3")), id=example)
+        for example in ("example1", "kepler2", "kepler3", "coulomb", "oscillator")
+    ]
+    + [
+        pytest.param(
+            ["simulate", "--example", example, "--state", state, "--h", "0.01", "--t1", "1"],
+            0,
+            id=f"simulate-{example}",
+        )
+        for example, state in (("example1", "1,0"), ("kepler3", "1,0,0,0,1,0.2"))
+    ],
+)
+def test_check_builds_integrals_without_expr_canonicalization(capsys, monkeypatch, argv, code):
+    # each integral is built, decided and printed in its exact algebra, and
+    # the integrator reads the canonical equations as differentiated
     calls = Counter()
 
     def counting(name):
@@ -373,10 +435,10 @@ def test_check_builds_integrals_without_expr_canonicalization(capsys, monkeypatc
 
     for name in ("together", "cancel"):
         monkeypatch.setattr(sympy, name, counting(name))
-    for memo in (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._on_shell_maps):
+    memos = (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._on_shell_maps)
+    for memo in (*memos, hamsym.noether.canonical_equations):
         memo.cache_clear()
-    code, _, _ = run(capsys, "check", "--example", example, "--json")
-    assert code == (1 if example == "kepler3" else 0)  # kepler3's X1 fails by design
+    assert run(capsys, *argv, "--json")[0] == code  # coulomb's X2 and kepler3's X1 fail by design
     assert calls == {}
 
 
@@ -414,7 +476,8 @@ def test_parameter_values_are_bound_to_decide(capsys, tmp_path, source, expressi
 
 
 def test_simulate_builds_canonical_equations_once(capsys):
-    # the on-shell maps of the report and the integrator's right-hand side share them
+    # the integrator's right-hand side builds them once per system; the report's
+    # on-shell maps differentiate H in their own algebra
     memo = hamsym.noether.canonical_equations
     for cache in (memo, hamsym.noether._on_shell_maps):
         cache.cache_clear()

@@ -219,6 +219,23 @@ class TestSimplify:
         r = sp.sqrt(q**2 + p**2)
         assert simplify(1 / r - r / (q**2 + p**2)) == 0
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # 1/(u + 1) + 1/(u - 1) = 2u/(u^2 - 1) with u^2 = b
+            lambda b: 1 / (sp.sqrt(b) + 1) + 1 / (sp.sqrt(b) - 1) - 2 * sp.sqrt(b) / (b - 1),
+            # b^(1/2) and b^(1/3) are powers of one generator b^(1/6)
+            lambda b: (sp.sqrt(b) + sp.cbrt(b)) / sp.cbrt(b) - (b ** sp.Rational(1, 6) + 1),
+        ],
+        ids=["reciprocal-sum", "mixed-radicals"],
+    )
+    def test_radicals_outside_the_jet_field_are_proven(self, make):
+        # a parameter in the base keeps the expression on the Expr path
+        k = sp.Symbol("K", real=True)
+        e = make(k * q**2 + 1)
+        assert jet_algebra(1, [e], (k,)) is None
+        assert is_zero(e).status == Verdict.PROVEN
+
     def test_canonical_determinism(self):
         rng = Random(9)
         for _ in range(20):

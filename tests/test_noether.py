@@ -44,7 +44,7 @@ from hamsym.noether import (
     variational_derivative_q,
     verify_first_integral,
 )
-from hamsym.systems import FirstIntegral, HamiltonianSystem, PointSymmetry
+from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError, PointSymmetry
 
 SEED = 42
 
@@ -68,6 +68,12 @@ class TestCanonicalEquations:
     def test_free_particle(self):
         qdot, pdot = canonical_equations(FREE_PARTICLE)
         assert qdot == (p,) and pdot == (0,)
+
+
+@pytest.mark.parametrize("name", ["q1", "t", "dp2", "sin"])
+def test_system_refuses_a_reserved_parameter_name(name):
+    with pytest.raises(HamsymError, match="reserved token"):
+        HamiltonianSystem(n=1, hamiltonian=p**2 / 2 + q**2 / 2, parameters={name: sp.Integer(1)})
 
 
 class TestOnShell:
