@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
-from .expressions import SINGULAR_ERRORS, compile_tuple, finite_real, state_symbols, symbol_info
+from .expressions import SINGULAR_ERRORS, compile_tuple, finite_real, state_symbols
 from .noether import canonical_equations
-from .systems import FirstIntegral, HamiltonianSystem, HamsymError
+from .systems import FirstIntegral, HamiltonianSystem, HamsymError, check_phase_expression
 
 __all__ = [
     "CompiledFunction",
@@ -35,6 +35,8 @@ __all__ = [
 METHODS = ("rk4", "implicit_midpoint")
 # trajectory rows per array evaluation in drift; bounds the temporaries
 DRIFT_BLOCK = 8192
+# a drift at or below this is rounding, from which no order can be read
+ORDER_FLOOR = 1e-14
 
 
 class IntegrationError(HamsymError):
@@ -53,7 +55,6 @@ class SingularityAbort(IntegrationError):
 class CompiledFunction:
     """Fast evaluator over the (t, q, p) state layout."""
 
-    n: int
     expression: sp.Expr
     _fn: object
 
@@ -72,27 +73,17 @@ class CompiledFunction:
 def _compile(exprs: Sequence[sp.Expr], n: int, sys: HamiltonianSystem | None = None, array: bool = False):
     """Bind `exprs` and check them against the state layout, then compile
     them with `compile_tuple` over (t, q1..qn, p1..pn). Returns the bound
-    expressions and the compiled function.
-    """
-    bound = []
-    for e in exprs:
-        e = sp.sympify(sys.bind(e) if sys is not None else e)
-        for s in e.free_symbols:
-            info = symbol_info(s)
-            if info is None:
-                raise HamsymError(f"unbound parameter {s} in compiled expression")
-            if info[2] > 0:
-                raise HamsymError(f"jet symbol {s} cannot be compiled over the state layout")
-            if info[0] in "qp" and info[1] > n:
-                raise HamsymError(f"{s} outside dimension {n}")
-        bound.append(e)
+    expressions and the compiled function; parameters must be bound by then."""
+    bound = [sp.sympify(sys.bind(e) if sys is not None else e) for e in exprs]
+    for e in bound:
+        check_phase_expression(e, n, "compiled expression")
     return bound, compile_tuple(state_symbols(n), bound, array)
 
 
 def compile_expression(e: sp.Expr, n: int, sys: HamiltonianSystem | None = None) -> CompiledFunction:
     """Lambdify over (t, q1..qn, p1..pn); parameters must already be bound."""
     (e,), fn = _compile((e,), n, sys)
-    return CompiledFunction(n=n, expression=e, _fn=fn)
+    return CompiledFunction(expression=e, _fn=fn)
 
 
 @dataclass(frozen=True)
@@ -291,7 +282,6 @@ def _loop(method: str, m: int):
 @dataclass(frozen=True)
 class DriftSeries:
     integral: str
-    initial: float
     max_abs: float
     relative: float
     series: np.ndarray | None = None
@@ -332,7 +322,6 @@ def drift(
         entries.append(
             DriftSeries(
                 integral=integral.name,
-                initial=float(values[0]),
                 max_abs=max_abs,
                 relative=relative,
                 series=deltas if keep_series else None,
@@ -381,13 +370,12 @@ def convergence_order(
     state0: Sequence[float],
     config: IntegratorConfig,
     integral: FirstIntegral,
-    floor: float = 1e-14,
 ) -> OrderEstimate:
     """Richardson-style order estimate from drift at h and h/2."""
     report_h = drift(sys, [integral], integrate(sys, state0, config))
     report_half = drift(sys, [integral], integrate(sys, state0, replace(config, h=config.h / 2)))
     d1 = report_h.entries[0].max_abs
     d2 = report_half.entries[0].max_abs
-    if d2 <= floor or d1 <= floor:
+    if d2 <= ORDER_FLOOR or d1 <= ORDER_FLOOR:
         return OrderEstimate(order=None, inconclusive=True, drift_h=d1, drift_half=d2)
     return OrderEstimate(order=math.log2(d1 / d2), inconclusive=False, drift_h=d1, drift_half=d2)

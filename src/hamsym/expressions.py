@@ -537,7 +537,6 @@ def draw_samples(
     exprs: Sequence[sp.Expr],
     rng: Random,
     singular: Iterable[sp.Expr] = (),
-    attempts: int = MAX_SAMPLE_ATTEMPTS,
 ) -> Generator[tuple[dict[sp.Symbol, float], tuple], bool | None, None]:
     """The one sampling loop. Draws points componentwise from
     [-2,-0.1] u [0.1,2] over `symbols` and every symbol of the guards in
@@ -545,13 +544,13 @@ def draw_samples(
     with the values of `exprs` there. Guards and expressions are compiled as
     one tuple. A draw is rejected when a guard is below SINGULAR_GUARD in
     magnitude or any value is singular; the caller rejects a yielded draw by
-    sending True. The generator ends after `attempts` rejected draws."""
+    sending True. The generator ends after MAX_SAMPLE_ATTEMPTS rejected draws."""
     guards = [sp.sympify(g) for g in singular]
     exprs = [sp.sympify(e) for e in exprs]
     args = sorted(set(symbols).union(*(e.free_symbols for e in (*guards, *exprs))), key=lambda s: s.name)
     values_at = compile_tuple(args, (*guards, *exprs))
     rejected = 0
-    while rejected < attempts:
+    while rejected < MAX_SAMPLE_ATTEMPTS:
         point = {s: rng.choice((-1.0, 1.0)) * rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for s in args}
         try:
             values = values_at(*point.values())
@@ -563,16 +562,11 @@ def draw_samples(
         rejected += 1
 
 
-def sample_point(
-    symbols: Iterable[sp.Symbol],
-    rng: Random,
-    singular: Iterable[sp.Expr] = (),
-    max_attempts: int = MAX_SAMPLE_ATTEMPTS,
-) -> dict[sp.Symbol, float]:
+def sample_point(symbols: Iterable[sp.Symbol], rng: Random, singular: Iterable[sp.Expr] = ()) -> dict[sp.Symbol, float]:
     """The first admissible point of `draw_samples` with no values asked for."""
-    for point, _ in draw_samples(symbols, (), rng, singular, max_attempts):
+    for point, _ in draw_samples(symbols, (), rng, singular):
         return point
-    raise SamplingError(f"no admissible sample point after {max_attempts} attempts")
+    raise SamplingError(f"no admissible sample point after {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
 def is_zero(
@@ -648,7 +642,7 @@ def random_polynomial(
         for _ in range(total):
             monomial *= rng.choice(symbols)
         out += coeff * monomial
-    return sp.expand(out)
+    return out
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -69,7 +69,6 @@ class IdentityReport:
     n: int
     degree: int
     count: int
-    seed: int
     cases: tuple[IdentityCase, ...]
 
     @property
@@ -135,4 +134,4 @@ def identity_check(
             for k, r in enumerate(lemma2_residuals(sys, X))
         )
         cases.append(IdentityCase(index=index, system=sys, symmetry=X, lemma1=lemma1, lemma2=lemma2))
-    return IdentityReport(n=n, degree=degree, count=count, seed=seed, cases=tuple(cases))
+    return IdentityReport(n=n, degree=degree, count=count, cases=tuple(cases))

@@ -201,10 +201,9 @@ def parse_expression(text: str, ctx: ParseContext) -> sp.Expr:
     if not isinstance(text, str):
         raise ParseError("input is not text", 0)
     e = _Parser(_tokenize(text), ctx).parse()
-    try:
-        format_expression(e)
-    except ValueError as exc:
-        raise ParseError(f"input has no written form: {exc}", 0) from None
+    for node in sp.preorder_traversal(e):
+        if not isinstance(node, _PRINTABLE):
+            raise ParseError(f"input has no written form: {_unprintable(node)}", 0)
     return e
 
 
@@ -217,6 +216,8 @@ _PREC_ATOM = 4
 
 # sqrt is a function, not a class: it builds a power and prints as one
 _FUNC_NAMES = {cls: name for name, cls in FUNCTIONS.items() if isinstance(cls, type)}
+# the node kinds that _fmt prints, E included; any other node raises there
+_PRINTABLE = (sp.Rational, sp.Symbol, type(sp.E), sp.Add, sp.Mul, sp.Pow, *_FUNC_NAMES)
 
 
 def format_expression(e: sp.Expr) -> str:
@@ -274,7 +275,11 @@ def _fmt(e: sp.Expr, parent: int) -> str:
     for cls, name in _FUNC_NAMES.items():
         if isinstance(e, cls):
             return f"{name}({_fmt(e.args[0], _PREC_ADD)})"
-    raise ValueError(f"cannot format node {e} of type {type(e).__name__}")
+    raise ValueError(_unprintable(e))
+
+
+def _unprintable(e: sp.Expr) -> str:
+    return f"cannot format node {e} of type {type(e).__name__}"
 
 
 # --- system definition files ---------------------------------------------
@@ -353,7 +358,6 @@ class _Section:
     name: str
     repeated: bool
     entries: dict = field(default_factory=dict)
-    line: int = 0
 
 
 def _split_sections(text: str) -> list[_Section]:
@@ -366,7 +370,7 @@ def _split_sections(text: str) -> list[_Section]:
         m = _SECTION_RE.match(line)
         if m:
             name = m.group("rep") or m.group("single")
-            current = _Section(name, repeated=m.group("rep") is not None, line=lineno)
+            current = _Section(name, repeated=m.group("rep") is not None)
             sections.append(current)
             continue
         m = _KEY_RE.match(line)

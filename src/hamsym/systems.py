@@ -10,6 +10,7 @@ from .expressions import Verdict, jet_order, parameter, substitute_jets, symbol_
 
 __all__ = [
     "HamsymError",
+    "check_phase_expression",
     "HamiltonianSystem",
     "PointSymmetry",
     "DivergenceTerm",
@@ -25,10 +26,15 @@ class HamsymError(Exception):
     precondition or a numeric abort, as opposed to an internal fault."""
 
 
-def _check_phase_expr(e: sp.Expr, n: int, what: str, parameters) -> None:
+def check_phase_expression(e: sp.Expr, n: int, what: str, parameters=()) -> None:
+    """The one rule for an expression over (t, q, p): each of its symbols is
+    t, q1..qn, p1..pn or a name in `parameters`, and none is a jet symbol.
+    Else raises HamsymError naming the expression (jets) or the first stray
+    symbol by name."""
+    e = sp.sympify(e)
     if jet_order(e) > 0:
         raise HamsymError(f"{what} must not contain jet symbols: {e}")
-    for s in e.free_symbols:
+    for s in sorted(e.free_symbols, key=lambda s: s.name):
         info = symbol_info(s)
         if info is None:
             if s.name not in parameters:
@@ -55,9 +61,9 @@ class HamiltonianSystem:
                 parameter(name)
             except ValueError as exc:
                 raise HamsymError(str(exc)) from None
-        _check_phase_expr(self.hamiltonian, self.n, "hamiltonian", self.parameters)
+        check_phase_expression(self.hamiltonian, self.n, "hamiltonian", self.parameters)
         for g in self.singularities:
-            _check_phase_expr(g, self.n, "singularity guard", self.parameters)
+            check_phase_expression(g, self.n, "singularity guard", self.parameters)
 
     def bind(self, e: sp.Expr) -> sp.Expr:
         """Substitute the parameter values into e in its algebra (substitute_jets)."""

@@ -45,14 +45,19 @@ class TestCompile:
             fn(0.0, np.array([0.0, 1.0]))
 
     def test_unbound_parameter(self, kepler3):
-        with pytest.raises(HamsymError):
+        # parameters are bound by the time an expression is compiled
+        with pytest.raises(HamsymError, match="compiled expression references undeclared parameter K"):
             compile_expression(kepler3.system.hamiltonian, 3)
 
     def test_jet_symbols_rejected(self):
         from hamsym.expressions import coord_deriv
 
-        with pytest.raises(HamsymError):
+        with pytest.raises(HamsymError, match="compiled expression must not contain jet symbols"):
             compile_expression(coord_deriv(1), 1)
+
+    def test_index_outside_dimension(self):
+        with pytest.raises(HamsymError, match="q2 outside dimension 1"):
+            compile_expression(coord(2), 1)
 
     @pytest.mark.parametrize(
         "expression,n",

@@ -12,9 +12,11 @@ import hamsym.noether
 from hamsym.expressions import (
     TIME,
     Verdict,
+    algebra_lift,
     coord,
     coord_deriv,
     is_zero,
+    jet_order,
     momentum,
     momentum_deriv,
     simplify,
@@ -354,6 +356,66 @@ def test_exact_and_expr_on_shell_residuals_agree(request, name, monkeypatch):
     _clear_algebra_memos()
     for X, a, b in zip(defn.symmetries, exact, expr):
         assert sp.cancel(sys_.bind(a - b)) == 0, X.name
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "expr"])
+def test_residual_is_affine_in_the_jets(exact, request, monkeypatch):
+    # the invariant that lets find_divergence_term read A, B and C off any
+    # residual: zeta.dq + p.D(eta) - X(H) - H*D(xi) is A + B.dq + C.dp with
+    # A, B and C jet-free, in the ring, in the field and over Expr
+    defns = [request.getfixturevalue(name) for name in ("example1", "coulomb", "oscillator", "kepler2", "kepler3")]
+    pairs = [(defn.system, X) for defn in defns for X in defn.symmetries]
+    pairs += [random_pair(n, 3, Random(n)) for n in (1, 2, 3)]
+    _clear_algebra_memos()
+    if not exact:
+        _expr_algebra(monkeypatch)
+    kinds = {_algebra_kind(sys_, X) for sys_, X in pairs}
+    assert kinds == ({"ring", "field"} if exact else {"expr"})
+    for sys_, X in pairs:
+        residual = hamsym.noether._residual(sys_, X)
+        a, b, c = hamsym.noether._jet_linear_coefficients(sys_, residual)
+        assert all(jet_order(x) == 0 for x in (a, *b, *c)), X.name
+        lift = algebra_lift(residual)
+        rebuilt = a - residual
+        for i, (bi, ci) in enumerate(zip(b, c), start=1):
+            rebuilt += bi * lift(coord_deriv(i)) + ci * lift(momentum_deriv(i))
+        assert simplify(to_expr(rebuilt)) == 0, X.name
+    _clear_algebra_memos()
+
+
+_K = sp.Symbol("K", real=True)
+_C = sp.Symbol("c", real=True)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda d: verify_first_integral(d["kepler3"].system, sp.Symbol("L", real=True)), "undeclared parameter L"),
+        (lambda d: verify_first_integral(d["kepler3"].system, coord(5)), "q5 outside dimension 3"),
+        (
+            lambda d: check_divergence_invariance(d["example1"].system, d["example1"].symmetry("X3"), q**2 / 2 + _C),
+            "undeclared parameter c",
+        ),
+        (
+            lambda d: check_invariance(
+                FREE_PARTICLE, PointSymmetry("A", sp.Integer(0), (sp.Symbol("a", real=True),), (sp.Integer(0),))
+            ),
+            "symmetry A references undeclared parameter a",
+        ),
+        (lambda d: hamiltonian_vector_field(d["example1"].system, _K * q), "undeclared parameter K"),
+        (lambda d: verify_first_integral(d["example1"].system, dq), "jet symbols"),
+        (
+            lambda d: check_invariance(d["kepler3"].system, d["example1"].symmetry("X1")),
+            "symmetry X1 has 1 components, system has n=3",
+        ),
+    ],
+    ids=["integral-undeclared", "integral-index", "v-undeclared", "eta-undeclared", "generator", "jet", "components"],
+)
+def test_library_inputs_follow_the_system_file_rule(call, match, example1, kepler3):
+    # a (t, q, p) expression from a library caller is checked as the system
+    # file parser checks it, not decided with a stray symbol sampled
+    with pytest.raises(HamsymError, match=match):
+        call({"example1": example1, "kepler3": kepler3})
 
 
 class TestEquationInvariance:

@@ -5,11 +5,14 @@ from random import Random
 import pytest
 import sympy as sp
 
+import hamsym.parsing
 from hamsym.expressions import TIME, coord, coord_deriv, momentum, momentum_deriv, parameter
 from hamsym.parsing import (
     ParseContext,
     ParseError,
     SchemaError,
+    _Parser,
+    _tokenize,
     format_expression,
     parse_expression,
     parse_system_file,
@@ -182,6 +185,32 @@ class TestFuzz:
                 parse_expression(text, CTX3)
             except ParseError:
                 pass  # the only acceptable failure mode
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sqrt(q1^2)", "arctan(1)*q1", "log(-1)*q1", "log(0)", "sqrt(-2)*q1", "exp(arctan(1))"]
+        + ["exp(1)^2", "sqrt(exp(q1))", "cos(arctan(q1))", "log(-q1)", "tan(q1)^(3/2)"],
+    )
+    def test_written_form_agrees_with_the_printer(self, text):
+        # parse_expression refuses exactly what format_expression cannot print
+        raw = _Parser(_tokenize(text), CTX1).parse()
+        try:
+            format_expression(raw)
+        except ValueError:
+            with pytest.raises(ParseError, match="no written form: cannot format node"):
+                parse_expression(text, CTX1)
+        else:
+            assert parse_expression(text, CTX1) == raw
+
+    def test_a_parse_prints_nothing(self, monkeypatch):
+        # printability is one walk over the node kinds, not a print
+        def refuse(e):
+            raise AssertionError(f"format_expression({e}) called during a parse")
+
+        monkeypatch.setattr(hamsym.parsing, "format_expression", refuse)
+        for text in EXAMPLES.values():
+            parse_system_file(text)
+        parse_expression("exp(1)*sin(q1)^2 + arctan(p1/q1) - log(t)/sqrt(q1)", CTX1)
 
     def test_non_string_input(self):
         with pytest.raises(ParseError):
