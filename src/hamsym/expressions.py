@@ -20,12 +20,10 @@ from functools import lru_cache, reduce
 from random import Random
 from typing import Generator, Iterable, Mapping, Sequence
 
-import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.rings import PolyElement, PolyRing
-from sympy.printing.numpy import NumPyPrinter
 
 __all__ = [
     "TIME",
@@ -478,9 +476,15 @@ def compile_tuple(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr], array: bo
     their values. The scalar form runs on Python floats through `math`, where a
     fractional power of a negative number is complex. The array form takes
     whole columns; its namespace holds numpy alone, because modules="numpy"
-    loads far more of numpy and sympy than the printed code uses."""
-    modules, printer = ([{"numpy": np}], NumPyPrinter) if array else ("math", None)
-    return sp.lambdify(args, tuple(exprs), modules=modules, printer=printer, cse=True)
+    loads far more of numpy and sympy than the printed code uses. numpy is
+    imported here, on the array paths only, so that the symbolic commands
+    never load it."""
+    if not array:
+        return sp.lambdify(args, tuple(exprs), modules="math", cse=True)
+    import numpy as np
+    from sympy.printing.numpy import NumPyPrinter
+
+    return sp.lambdify(args, tuple(exprs), modules=[{"numpy": np}], printer=NumPyPrinter, cse=True)
 
 
 def evaluate(e: sp.Expr, bindings: Mapping[sp.Symbol, float]) -> float:
@@ -632,17 +636,14 @@ def random_polynomial(
     terms: int = 6,
 ) -> sp.Expr:
     """Random polynomial with small rational coefficients, for identity testing."""
-    out = sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+    parts = [sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))]
     for _ in range(terms):
         coeff = sp.Rational(rng.randint(-4, 4), rng.randint(1, 4))
         if coeff == 0:
             continue
-        monomial = sp.Integer(1)
         total = rng.randint(0, degree)
-        for _ in range(total):
-            monomial *= rng.choice(symbols)
-        out += coeff * monomial
-    return out
+        parts.append(sp.Mul(coeff, *(rng.choice(symbols) for _ in range(total))))
+    return sp.Add(*parts)
 
 
 def derive_seed(seed: int, label: str) -> int:

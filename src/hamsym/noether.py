@@ -13,7 +13,6 @@ from random import Random
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
 import sympy as sp
 
 from .expressions import (
@@ -142,6 +141,12 @@ def _lifted(sys: HamiltonianSystem, exprs):
     return (sp.sympify, list(exprs)) if found is None else found
 
 
+def _check_components(sys: HamiltonianSystem, X: PointSymmetry) -> None:
+    """Refuse a symmetry whose component count is not the dimension of sys."""
+    if len(X.eta) != sys.n:
+        raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
+
+
 @lru_cache(maxsize=8)
 def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     """(lift, H, X) in the algebra that the code of (sys, X) computes in,
@@ -149,9 +154,8 @@ def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     coefficients and X.v, whose arithmetic gives normal forms directly;
     else Expr. Refuses an X without sys.n components, each a function of
     (t, q, p) and the parameters of sys."""
-    n = len(X.eta)
-    if n != sys.n:
-        raise HamsymError(f"symmetry {X.name} has {n} components, system has n={sys.n}")
+    _check_components(sys, X)
+    n = sys.n
     v = () if X.v is None else (X.v,)
     for e in (X.xi, *X.eta, *X.zeta, *v):
         check_phase_expression(e, n, f"symmetry {X.name}", sys.parameters)
@@ -349,6 +353,7 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: st
 def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry:
     """On-shell evolutionary representative: xi = 0 with the time shift
     absorbed into the dependent components."""
+    _check_components(sys, X)
     qdot, pdot = canonical_equations(sys)
     eta = tuple(simplify(X.eta[i] - X.xi * qdot[i]) for i in range(sys.n))
     zeta = tuple(simplify(X.zeta[i] - X.xi * pdot[i]) for i in range(sys.n))
@@ -497,6 +502,8 @@ def functional_independence(
     """Maximum observed rank of the Jacobian of the integrals with respect
     to (q, p) at random non-singular points; singular values at or below
     tol * max(1, largest |entry|) count as zero."""
+    import numpy as np
+
     if not integrals:
         raise HamsymError("need at least one integral")
     state = state_symbols(sys.n)

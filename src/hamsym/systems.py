@@ -6,7 +6,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .expressions import Verdict, jet_order, parameter, substitute_jets, symbol_info
+from .expressions import TIME, Verdict, coord, jet_order, momentum, parameter, substitute_jets, symbol_info
 
 __all__ = [
     "HamsymError",
@@ -29,8 +29,10 @@ class HamsymError(Exception):
 def check_phase_expression(e: sp.Expr, n: int, what: str, parameters=()) -> None:
     """The one rule for an expression over (t, q, p): each of its symbols is
     t, q1..qn, p1..pn or a name in `parameters`, and none is a jet symbol.
-    Else raises HamsymError naming the expression (jets) or the first stray
-    symbol by name."""
+    Each must also be the real symbol of its name that hamsym builds: a
+    Symbol("p1") without real=True is a different symbol from p1. Else raises
+    HamsymError naming the expression (jets) or the first stray symbol by
+    name."""
     e = sp.sympify(e)
     if jet_order(e) > 0:
         raise HamsymError(f"{what} must not contain jet symbols: {e}")
@@ -39,8 +41,15 @@ def check_phase_expression(e: sp.Expr, n: int, what: str, parameters=()) -> None
         if info is None:
             if s.name not in parameters:
                 raise HamsymError(f"{what} references undeclared parameter {s.name}")
-        elif info[0] in "qp" and not 1 <= info[1] <= n:
+            own = parameter(s.name)
+        elif info[0] == "t":
+            own = TIME
+        elif not 1 <= info[1] <= n:
             raise HamsymError(f"{what} references {s} outside dimension {n}")
+        else:
+            own = (coord if info[0] == "q" else momentum)(info[1])
+        if s != own:
+            raise HamsymError(f"{what} references a {s.name} other than hamsym's real symbol {s.name}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 and determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -228,16 +231,19 @@ class TestSimulate:
         assert code == 2 and "step" in err
 
     def test_numeric_abort(self, capsys, tmp_path):
-        source = (
-            '[system]\nn = 1\nhamiltonian = "p1^2/2 + sqrt(q1)"\nsingularities = ["q1"]\n'
-            '[[symmetry]]\nname = "X0"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
-        )
         path = tmp_path / "falling.txt"
-        path.write_text(source)
+        path.write_text(FALLING)
         code, _, err = run(
             capsys, "simulate", "--file", str(path), "--state", "1,-2", "--t1", "2"
         )
         assert code == 3 and "time reached" in err
+
+
+# sqrt(q1) leaves its domain when q1 turns negative, before t = 2 from (1, -2)
+FALLING = (
+    '[system]\nn = 1\nhamiltonian = "p1^2/2 + sqrt(q1)"\nsingularities = ["q1"]\n'
+    '[[symmetry]]\nname = "X0"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
+)
 
 
 class TestIdentityCheck:
@@ -380,6 +386,64 @@ def test_expr_fallback_matches_golden_bytes(capsys, tmp_path, argv, golden):
     path.write_text(PENDULUM)
     main([*argv, "--file", str(path), "--seed", "42", "--json"])
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--example", "example1", "--state", "1,0", "--method", "rk4"], "trajectory-example1-rk4.csv"),
+        (
+            ["--example", "oscillator", "--state", "1,0", "--method", "implicit_midpoint"],
+            "trajectory-oscillator-implicit_midpoint.csv",
+        ),
+        # n = 3 with the bound parameter K and a cse temporary
+        (["--example", "kepler3", "--state", "1,0.2,-0.1,0.1,1.1,0.3", "--method", "rk4"], "trajectory-kepler3-rk4.csv"),
+    ],
+    ids=["example1-rk4", "oscillator-implicit_midpoint", "kepler3-rk4"],
+)
+def test_trajectory_matches_golden_bytes(capsys, tmp_path, argv, golden):
+    # every state at full precision: the integrator loop is pinned bit for bit
+    path = tmp_path / "trajectory.csv"
+    assert main(["simulate", *argv, "--h", "0.01", "--t1", "1", "--seed", "42", "--csv", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_numeric_abort_matches_golden_bytes(capsys, tmp_path, method):
+    # the abort's message and time in the report
+    path = tmp_path / "falling.txt"
+    path.write_text(FALLING)
+    argv = ["simulate", "--file", str(path), "--state", "1,-2", "--t1", "2", "--method", method]
+    assert main([*argv, "--seed", "42", "--json"]) == 3
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"simulate-falling-{method}-seed42.json").read_bytes()
+
+
+NUMPY_PROBE = """\
+import contextlib, io, sys
+import hamsym.cli
+loaded, codes = [], []
+for argv in (
+    ["identity-check", "--n", "2", "--count", "2"],
+    ["check", "--example", "kepler3"],
+    ["verify", "--example", "example1", "q1*p1"],
+    ["integral", "--example", "example1", "X2"],
+    ["simulate", "--example", "oscillator", "--state", "1,0", "--t1", "0.1"],
+):
+    loaded.append("numpy" in sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(hamsym.cli.main(argv))
+loaded.append("numpy" in sys.modules)
+print((loaded, codes))
+"""
+
+
+def test_symbolic_commands_never_import_numpy():
+    # a fresh process: numpy is imported on the array paths only, so the
+    # symbolic commands never pay its start-up; simulate, last, loads it
+    src = str(Path(hamsym.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(([False] * 5 + [True], [0, 1, 1, 0, 0]))
 
 
 def test_check_builds_shared_objects_once(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hamsym.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SingularityAbort,
+    _inline,
     _loop,
     _rhs_function,
     _values_along,
@@ -199,12 +200,52 @@ class TestIntegrate:
         ],
     )
     def test_abort_message_and_time(self, hamiltonian, state0, method, t1, message, time_reached):
-        system = HamiltonianSystem(n=1, hamiltonian=hamiltonian)
         config = IntegratorConfig(method=method, h=1e-3, t1=t1)
-        with pytest.raises(SingularityAbort) as info:
-            integrate(system, state0, config)
-        assert str(info.value) == f"{message} (time reached: {time_reached!r})"
-        assert info.value.time_reached == time_reached
+        _assert_aborts(HamiltonianSystem(n=1, hamiltonian=hamiltonian), state0, config, message, time_reached)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "hamiltonian, state0, h, t1, messages, times",
+        [
+            # n = 2 with a cse temporary, sqrt(q1 - q2), that leaves its domain
+            pytest.param(
+                (momentum(1) ** 2 + momentum(2) ** 2) / 2 + q * sp.sqrt(q - coord(2)), [1.0, 0.0, -2.0, 1.0], 1e-3, 2.0,
+                ("math domain error",) * 2, (0.306, 0.3065), id="cse-domain",
+            ),
+            # a pole in t that a stage time hits exactly (h = 1/4): RK4's k2
+            # stage at t = 1/4, and the midpoint stage
+            pytest.param(
+                p**2 / 2 + q / (TIME - sp.Rational(3, 8)), [1.0, 0.0], 0.25, 1.0,
+                ("float division by zero",) * 2, (0.375, 0.375), id="time-pole",
+            ),
+            # log(1/2 - t) at RK4's k4 stage time t + h = 1/2
+            pytest.param(
+                p**2 / 2 + q * sp.log(sp.Rational(1, 2) - TIME), [1.0, 0.0], 1e-3, 1.0,
+                ("math domain error",) * 2, (0.5, 0.5005), id="time-log",
+            ),
+        ],
+    )
+    def test_stage_abort_message_and_time(self, hamiltonian, state0, h, t1, messages, times, method):
+        # the abort names the stage time of the stage that failed; the
+        # values were taken from the loop that called the right-hand side
+        which = METHODS.index(method)
+        _assert_aborts(
+            HamiltonianSystem(n=len(state0) // 2, hamiltonian=hamiltonian),
+            state0,
+            IntegratorConfig(method=method, h=h, t1=t1),
+            f"singular evaluation of the canonical equations: {messages[which]}",
+            times[which],
+        )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_loop_inlines_the_right_hand_side(self, kepler3, method):
+        fn = _rhs_function(kepler3.system)
+        loop = _inline(_loop(method, 6), fn)
+        code = loop.__code__
+        # no stage calls the right-hand side; its cse temporary is a local
+        assert "fn" not in code.co_names and "rhs_x0" in code.co_varnames
+        # and no loop local shadows a name that its printed code reads
+        assert not set(code.co_varnames) & set(fn.__globals__)
 
     def test_loop_built_once_per_method_and_dimension(self, example1, oscillator, kepler3):
         _loop.cache_clear()
@@ -216,6 +257,13 @@ class TestIntegrate:
         assert _loop.cache_info().misses == 2
         integrate(kepler3.system, [1.0, 0, 0, 0, 1.0, 0], rk4)
         assert _loop.cache_info().misses == 3
+
+
+def _assert_aborts(system, state0, config, message, time_reached):
+    with pytest.raises(SingularityAbort) as info:
+        integrate(system, state0, config)
+    assert str(info.value) == f"{message} (time reached: {time_reached!r})"
+    assert info.value.time_reached == time_reached
 
 
 def _reference_states(system, state0, config):

@@ -408,8 +408,32 @@ _C = sp.Symbol("c", real=True)
             lambda d: check_invariance(d["kepler3"].system, d["example1"].symmetry("X1")),
             "symmetry X1 has 1 components, system has n=3",
         ),
+        # a symbol is hamsym's only when it is the real symbol of its name
+        (
+            lambda d: verify_first_integral(d["example1"].system, (sp.Symbol("p1") ** 2 + 1 / sp.Symbol("q1") ** 2) / 2),
+            "first integral references a p1 other than hamsym's real symbol p1",
+        ),
+        (
+            lambda d: verify_first_integral(d["kepler3"].system, sp.Symbol("K") * coord(1)),
+            "first integral references a K other than hamsym's real symbol K",
+        ),
+        (
+            lambda d: evolutionary_form(d["kepler3"].system, d["example1"].symmetry("X1")),
+            "symmetry X1 has 1 components, system has n=3",
+        ),
     ],
-    ids=["integral-undeclared", "integral-index", "v-undeclared", "eta-undeclared", "generator", "jet", "components"],
+    ids=[
+        "integral-undeclared",
+        "integral-index",
+        "v-undeclared",
+        "eta-undeclared",
+        "generator",
+        "jet",
+        "components",
+        "integral-not-real",
+        "parameter-not-real",
+        "evolutionary-components",
+    ],
 )
 def test_library_inputs_follow_the_system_file_rule(call, match, example1, kepler3):
     # a (t, q, p) expression from a library caller is checked as the system
