@@ -4,8 +4,6 @@ State layout everywhere is the flat vector (t, q1..qn, p1..pn).
 """
 from __future__ import annotations
 
-import ast
-import inspect
 import math
 import textwrap
 from dataclasses import dataclass, field, replace
@@ -155,27 +153,25 @@ def allocate_trajectory(config: IntegratorConfig, n: int) -> Trajectory:
 def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Advance the canonical equations with the configured fixed-step method.
 
-    The loop is generated for the method and the state dimension, with the
-    code of the compiled right-hand side in place of each stage's call, and
-    runs on local Python floats, in the same order of operations as the
-    array expressions each stage stands for.
+    The loop is generated for the method and the state dimension, and runs
+    on local Python floats, in the same order of operations as the array
+    expressions each stage stands for.
     """
     import numpy as np
 
     y = np.asarray(state0, dtype=float)
     if y.shape != (2 * sys.n,):
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
-    loop = _inline(_loop(config.method, 2 * sys.n), _rhs_function(sys))
+    rhs = _rhs_function(sys)
     trajectory = allocate_trajectory(config, sys.n)
     trajectory.states[0] = y
     with memoryview(trajectory.times) as times, memoryview(trajectory.states.reshape(-1)) as states:
-        loop(times, states, y.tolist(), config.step, config)
+        _loop(config.method, 2 * sys.n)(rhs, times, states, y.tolist(), config.step, config)
     return trajectory
 
 
-# One checked evaluation of the right-hand side at the stage time ts: the
-# call of `fn` marks where _inline puts its code. A raised singular error or
-# a complex or non-finite value aborts at that time.
+# One checked evaluation of the right-hand side `fn` at the stage time ts: a
+# raised singular error or a complex or non-finite value aborts at that time.
 _STAGE = """\
 try:
     {ks}, = fn(ts, {args})
@@ -193,7 +189,7 @@ if not finite:
 # the compensated (Kahan) update of the state: long runs otherwise accumulate
 # a rounding random walk that masks the methods' conservation.
 _LOOP = """\
-def loop(times, states, y, h, config):
+def loop(fn, times, states, y, h, config):
     {ys}, = y
     {cs} = 0.0
     half = h / 2
@@ -222,21 +218,13 @@ else:
     raise IntegrationError(f"implicit midpoint did not converge within {{max_iter}} iterations at t={{t!r}}")
 """
 
-# The names the loop reads besides those of the right-hand side's code.
-_LOOP_NAMESPACE = {
-    "SINGULAR_ERRORS": SINGULAR_ERRORS,
-    "SingularityAbort": SingularityAbort,
-    "IntegrationError": IntegrationError,
-    "isfinite": math.isfinite,
-}
-
 
 @lru_cache(maxsize=None)
-def _loop(method: str, m: int) -> str:
-    """The source of the integrator loop of `method` over a state of m
-    floats, generated from the templates above: a function of memoryviews of
-    the times and of the flattened states, the initial state as a list, the
-    step h and the config, whose stages call the right-hand side `fn`."""
+def _loop(method: str, m: int):
+    """The integrator loop of `method` over a state of m floats, generated
+    from the templates above, as a function of the compiled right-hand side,
+    memoryviews of the times and of the flattened states, the initial state
+    as a list, the step h and the config."""
     idx = range(m)
 
     def names(prefix):
@@ -278,7 +266,7 @@ def _loop(method: str, m: int) -> str:
             ("ts = t + half\n", stage(ks, y), iteration, *(f"d{i} = h * {k}\n" for i, k in zip(idx, ks)))
         )
     update = "".join(f"d{i} = d{i} - c{i}\nu = y{i} + d{i}\nc{i} = (u - y{i}) - d{i}\ny{i} = u\n" for i in idx)
-    return _LOOP.format(
+    source = _LOOP.format(
         m=m,
         ys=", ".join(y),
         cs=" = ".join(names("c")),
@@ -287,50 +275,14 @@ def _loop(method: str, m: int) -> str:
         state_finite=" and ".join(f"isfinite({a})" for a in y),
         store="".join(f"        states[row + {i}] = y{i}\n" for i in idx),
     )
-
-
-def _inline(source: str, fn):
-    """The loop of `source` compiled with each `targets = fn(...)` of its
-    stages replaced by the code that compile_tuple printed for `fn`, run in
-    fn's namespace: no call is made per stage."""
-    printed = inspect.getsource(fn)
-
-    class Inline(ast.NodeTransformer):
-        def visit_Assign(self, node):
-            call = node.value
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "fn":
-                return _inlined_call(printed, node)
-            return node
-
-    namespace = {**fn.__globals__, **_LOOP_NAMESPACE}
-    exec(compile(Inline().visit(ast.parse(source)), "<hamsym integrator loop>", "exec"), namespace)
+    namespace = {
+        "SINGULAR_ERRORS": SINGULAR_ERRORS,
+        "SingularityAbort": SingularityAbort,
+        "IntegrationError": IntegrationError,
+        "isfinite": math.isfinite,
+    }
+    exec(compile(source, f"<hamsym {method} loop, m={m}>", "exec"), namespace)
     return namespace["loop"]
-
-
-def _inlined_call(printed: str, node: ast.Assign) -> list[ast.stmt]:
-    """The statements of the assignment `node`, `targets = f(*args)`, for
-    the function f of the source `printed`: each argument expression bound
-    to its parameter, f's assignments, then its returned tuple assigned to
-    the targets. A parameter given a name takes that name (t becomes ts);
-    the other parameters and f's temporaries get an rhs_ prefix, which no
-    loop local has."""
-    (function,) = ast.parse(printed).body
-    names, out = {}, []
-    for param, arg in zip((a.arg for a in function.args.args), node.value.args):
-        if isinstance(arg, ast.Name):
-            names[param] = arg.id
-        else:
-            names[param] = f"rhs_{param}"
-            target = ast.copy_location(ast.Name(names[param], ast.Store()), node)
-            out.append(ast.copy_location(ast.Assign([target], arg), node))
-    for name in ast.walk(function):
-        if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Load):
-            names[name.id] = f"rhs_{name.id}"
-    for name in ast.walk(function):
-        if isinstance(name, ast.Name):
-            name.id = names.get(name.id, name.id)
-    *body, result = function.body
-    return [*out, *body, ast.copy_location(ast.Assign(node.targets, result.value), node)]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from hamsym.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SingularityAbort,
-    _inline,
     _loop,
     _rhs_function,
     _values_along,
@@ -226,8 +225,7 @@ class TestIntegrate:
         ],
     )
     def test_stage_abort_message_and_time(self, hamiltonian, state0, h, t1, messages, times, method):
-        # the abort names the stage time of the stage that failed; the
-        # values were taken from the loop that called the right-hand side
+        # the abort names the stage time of the stage that failed
         which = METHODS.index(method)
         _assert_aborts(
             HamiltonianSystem(n=len(state0) // 2, hamiltonian=hamiltonian),
@@ -236,16 +234,6 @@ class TestIntegrate:
             f"singular evaluation of the canonical equations: {messages[which]}",
             times[which],
         )
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_loop_inlines_the_right_hand_side(self, kepler3, method):
-        fn = _rhs_function(kepler3.system)
-        loop = _inline(_loop(method, 6), fn)
-        code = loop.__code__
-        # no stage calls the right-hand side; its cse temporary is a local
-        assert "fn" not in code.co_names and "rhs_x0" in code.co_varnames
-        # and no loop local shadows a name that its printed code reads
-        assert not set(code.co_varnames) & set(fn.__globals__)
 
     def test_loop_built_once_per_method_and_dimension(self, example1, oscillator, kepler3):
         _loop.cache_clear()
