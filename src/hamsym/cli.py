@@ -8,6 +8,7 @@ traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ from .parsing import (
 from .registry import example_names, load_example
 from .systems import FirstIntegral, HamsymError, SystemDefinition
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -370,5 +371,18 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The `hamsym` command: run `main` on sys.argv and end the process with
+    its exit code."""
+    try:
+        sys.exit(main())
+    finally:
+        # The process ends here. Frozen objects are skipped by the collection
+        # at interpreter shutdown, which would otherwise walk and free the
+        # whole sympy heap, about a fifth of a short command. `main` itself
+        # never freezes: in-process callers would keep their cyclic garbage.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -129,9 +129,10 @@ class Trajectory:
             raise IntegrationError("times and states lengths differ")
 
 
+@lru_cache(maxsize=8)
 def _rhs_function(sys: HamiltonianSystem):
     """The canonical right-hand side as one compiled tuple function of
-    (t, q1..qn, p1..pn)."""
+    (t, q1..qn, p1..pn), compiled once per system."""
     qdot, pdot = canonical_equations(sys)
     return _compile((*qdot, *pdot), sys.n, sys)[1]
 

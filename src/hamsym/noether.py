@@ -54,7 +54,6 @@ __all__ = [
     "InvarianceError",
     "canonical_equations",
     "on_shell",
-    "apply_operator",
     "invariance_residual",
     "check_invariance",
     "find_divergence_term",
@@ -163,8 +162,10 @@ def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]))
 
 
-def apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
-    """X(f) for f = f(t, q, p), with X's coefficients in the algebra of f."""
+def _apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
+    """X(f) for f = f(t, q, p), with X's coefficients in the algebra of f.
+    X must come from `_algebra`, which checks its components against the
+    system of f; this does not."""
     out = X.xi * partial_diff(f, TIME)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += eta * partial_diff(f, coord(i)) + zeta * partial_diff(f, momentum(i))
@@ -177,7 +178,7 @@ def _residual(sys: HamiltonianSystem, X: PointSymmetry):
     zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), in the algebra of (sys, X).
     Built once per (system, symmetry) and shared by every check that reads it."""
     lift, H, X = _algebra(sys, X)
-    out = -apply_operator(X, H) - H * total_derivative(X.xi)
+    out = -_apply_operator(X, H) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += zeta * lift(coord_deriv(i)) + lift(momentum(i)) * total_derivative(eta)
     return simplify(out)
@@ -403,11 +404,11 @@ def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list:
     lift, H, X = _algebra(sys, X)
     dxi = total_derivative(X.xi)
     p_side = [
-        total_derivative(X.eta[j - 1]) - lift(coord_deriv(j)) * dxi - apply_operator(X, partial_diff(H, momentum(j)))
+        total_derivative(X.eta[j - 1]) - lift(coord_deriv(j)) * dxi - _apply_operator(X, partial_diff(H, momentum(j)))
         for j in range(1, sys.n + 1)
     ]
     q_side = [
-        total_derivative(X.zeta[j - 1]) - lift(momentum_deriv(j)) * dxi + apply_operator(X, partial_diff(H, coord(j)))
+        total_derivative(X.zeta[j - 1]) - lift(momentum_deriv(j)) * dxi + _apply_operator(X, partial_diff(H, coord(j)))
         for j in range(1, sys.n + 1)
     ]
     return p_side + q_side

@@ -10,6 +10,7 @@ def test_workflow_runs_the_tier1_command():
     assert f"**Tier-1 verify:** `{TIER1}`" in (ROOT / "ROADMAP.md").read_text()
     commands = [line.strip() for line in workflow.splitlines()]
     assert commands.count(TIER1) == 1
+    assert "hamsym examples" in commands  # the installed console script
     try:
         import yaml
     except ImportError:

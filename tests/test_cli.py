@@ -1,5 +1,6 @@
 """Command-line interface tests: golden verdicts, JSON schema, exit codes
 and determinism."""
+import gc
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import sympy
 
 import hamsym.cli
+import hamsym.dynamics
 import hamsym.noether
 from hamsym.cli import main
 from hamsym.identity import identity_check
@@ -437,13 +439,81 @@ print((loaded, codes))
 """
 
 
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this hamsym, run with captured text output."""
+    src = str(Path(hamsym.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def test_symbolic_commands_never_import_numpy():
     # a fresh process: numpy is imported on the array paths only, so the
     # symbolic commands never pay its start-up; simulate, last, loads it
-    src = str(Path(hamsym.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True, check=True)
+    out = _fresh_python("-c", NUMPY_PROBE)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str(([False] * 5 + [True], [0, 1, 1, 0, 0]))
+
+
+# `python -m hamsym.cli ARGV...` with the first argument taken out: a file
+# that an atexit handler writes the frozen object count to
+ENTRY_PROBE = """\
+import atexit, gc, runpy, sys
+report = sys.argv.pop(1)
+
+
+def probe():
+    with open(report, "w") as handle:
+        handle.write(str(gc.get_freeze_count()))
+
+
+atexit.register(probe)
+runpy.run_module("hamsym.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["identity-check", "--n", "1", "--count", "2"], 0),
+        (["verify", "--example", "example1", "q1*p1"], 1),
+        (["check", "--example", "nosuch"], 2),
+        (["check", "--bogus"], 2),
+        (["simulate", "--file", "{falling}", "--state", "1,-2", "--t1", "2"], 3),
+        (["simulate", "--example", "oscillator", "--state", "1,0", "--t1", "0.1", "--csv", "{csv}"], 0),
+    ],
+    ids=["pass", "fail", "unknown-example", "usage", "numeric-abort", "csv"],
+)
+def test_entry_point_freezes_the_heap_and_matches_main(capsys, tmp_path, argv, expected):
+    # a fresh process ends through `run`, which freezes the heap for
+    # shutdown and otherwise gives what in-process `main` gives; `main`
+    # itself leaves the collector as it was
+    falling = tmp_path / "falling.txt"
+    falling.write_text(FALLING)
+
+    def fill(side):
+        return [a.format(falling=falling, csv=tmp_path / f"{side}.csv") for a in argv]
+
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(fill("main"))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected and gc.get_freeze_count() == frozen
+    report = tmp_path / "frozen"
+    out = _fresh_python("-c", ENTRY_PROBE, str(report), *fill("run"))
+    assert (out.returncode, out.stdout, out.stderr) == (code, captured.out, captured.err)
+    assert int(report.read_text()) > 0
+    if "{csv}" in argv:
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_console_script_and_main_block_call_the_same_entry():
+    root = Path(__file__).resolve().parent.parent
+    scripts = (root / "pyproject.toml").read_text().splitlines()
+    assert scripts[scripts.index("[project.scripts]") + 1] == 'hamsym = "hamsym.cli:run"'
+    cli = (root / "src" / "hamsym" / "cli.py").read_text().splitlines()
+    assert cli[cli.index('if __name__ == "__main__":') + 1 :] == ["    run()"]
 
 
 def test_check_builds_shared_objects_once(capsys, monkeypatch):
@@ -543,7 +613,7 @@ def test_simulate_builds_canonical_equations_once(capsys):
     # the integrator's right-hand side builds them once per system; the report's
     # on-shell maps differentiate H in their own algebra
     memo = hamsym.noether.canonical_equations
-    for cache in (memo, hamsym.noether._on_shell_maps):
+    for cache in (memo, hamsym.noether._on_shell_maps, hamsym.dynamics._rhs_function):
         cache.cache_clear()
     code, _, _ = run(capsys, "simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--json")
     assert code == 0 and memo.cache_info().misses == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import hamsym.dynamics
 from hamsym.dynamics import (
     DRIFT_BLOCK,
     METHODS,
@@ -397,6 +398,40 @@ class TestImplicitMidpoint:
             integrate(example1.system, [1.0, 0.0], config)
         assert type(info.value) is IntegrationError
         assert str(info.value) == "implicit midpoint did not converge within 1 iterations at t=0.0"
+
+
+def _count_compiles(monkeypatch) -> list:
+    """(expression count, array) of each compile in `dynamics` from now on,
+    with the right-hand side memo emptied."""
+    compiled = []
+    original = hamsym.dynamics.compile_tuple
+
+    def counted(args, exprs, array=False):
+        compiled.append((len(exprs), array))
+        return original(args, exprs, array)
+
+    monkeypatch.setattr(hamsym.dynamics, "compile_tuple", counted)
+    _rhs_function.cache_clear()
+    return compiled
+
+
+def test_right_hand_side_is_compiled_once_per_system(example1, monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    config = IntegratorConfig(h=0.01, t1=0.1)
+    first = integrate(example1.system, [1.0, 0.0], config)
+    assert compiled == [(2, False)]
+    again = integrate(example1.system, [1.0, 0.0], config)
+    assert compiled == [(2, False)]
+    assert np.array_equal(first.states, again.states)
+
+
+def test_convergence_order_compiles_the_right_hand_side_once(example1, monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    convergence_order(
+        example1.system, [1.0, 0.0], IntegratorConfig(h=0.01, t1=0.1), FirstIntegral("H", example1.system.hamiltonian)
+    )
+    # the scalar right-hand side once, then the integral's array form per drift
+    assert compiled == [(2, False), (1, True), (1, True)]
 
 
 class TestConvergenceOrder:

@@ -1,5 +1,6 @@
 """Invariance checks, divergence terms, first integrals and the off-shell
 identities, exercised on the built-in example systems."""
+import inspect
 from dataclasses import replace
 from random import Random
 
@@ -440,6 +441,28 @@ def test_library_inputs_follow_the_system_file_rule(call, match, example1, keple
     # file parser checks it, not decided with a stray symbol sampled
     with pytest.raises(HamsymError, match=match):
         call({"example1": example1, "kepler3": kepler3})
+
+
+def test_every_public_call_taking_a_symmetry_checks_its_components(example1, kepler3):
+    # a symmetry is applied to a system only after its component count is
+    # checked against the system's dimension; none zips too few silently
+    args = {
+        "HamiltonianSystem": kepler3.system,
+        "PointSymmetry": example1.symmetry("X3"),
+        "sp.Expr": kepler3.system.hamiltonian,
+    }
+    takes_symmetry = []
+    for name in hamsym.noether.__all__:
+        function = getattr(hamsym.noether, name)
+        if not inspect.isfunction(function):
+            continue
+        required = [p for p in inspect.signature(function).parameters.values() if p.default is p.empty]
+        if not any(p.annotation == "PointSymmetry" for p in required):
+            continue
+        takes_symmetry.append(name)
+        with pytest.raises(HamsymError, match="symmetry X3 has 1 components, system has n=3"):
+            function(*(args[p.annotation] for p in required))
+    assert len(takes_symmetry) >= 10
 
 
 class TestEquationInvariance:
