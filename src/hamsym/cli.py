@@ -377,10 +377,10 @@ def run() -> None:
     try:
         sys.exit(main())
     finally:
-        # The process ends here. Frozen objects are skipped by the collection
-        # at interpreter shutdown, which would otherwise walk and free the
-        # whole sympy heap, about a fifth of a short command. `main` itself
-        # never freezes: in-process callers would keep their cyclic garbage.
+        # The process ends here: frozen objects are skipped by the final
+        # collection at shutdown, which would otherwise walk and free the
+        # whole sympy heap. Not in `main`, whose in-process callers would
+        # keep their cyclic garbage for good.
         gc.freeze()
 
 
