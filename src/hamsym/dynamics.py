@@ -27,7 +27,6 @@ __all__ = [
     "IntegrationError",
     "SingularityAbort",
     "compile_expression",
-    "allocate_trajectory",
     "integrate",
     "drift",
     "convergence_order",
@@ -106,6 +105,8 @@ class IntegratorConfig:
             raise IntegrationError("step size h must be positive")
         if not (self.t1 > self.t0):
             raise IntegrationError("t1 must exceed t0")
+        if not math.isfinite((self.t1 - self.t0) / self.h):
+            raise IntegrationError("the step count (t1 - t0) / h must be finite; increase h or shorten t0..t1")
 
     @property
     def steps(self) -> int:
@@ -137,38 +138,31 @@ def _rhs_function(sys: HamiltonianSystem):
     return _compile((*qdot, *pdot), sys.n, sys)[1]
 
 
-def allocate_trajectory(config: IntegratorConfig, n: int) -> Trajectory:
-    """The time grid of `config` and room for its states in dimension n;
-    raises IntegrationError when the trajectory cannot be allocated."""
-    import numpy as np
-
-    steps = config.steps
-    try:
-        times = config.t0 + config.step * np.arange(steps + 1)
-        states = np.empty((steps + 1, 2 * n))
-    except (ValueError, MemoryError):
-        raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
-    return Trajectory(times=times, states=states)
-
-
 def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Advance the canonical equations with the configured fixed-step method.
 
-    The loop is generated for the method and the state dimension, and runs
-    on local Python floats, in the same order of operations as the array
-    expressions each stage stands for.
+    The trajectory is allocated first, so one too large to hold raises
+    IntegrationError before anything is compiled. The loop is generated for
+    the method and the state dimension, and runs on local Python floats, in
+    the same order of operations as the array expressions each stage stands
+    for.
     """
     import numpy as np
 
     y = np.asarray(state0, dtype=float)
     if y.shape != (2 * sys.n,):
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
+    steps = config.steps
+    try:
+        times = config.t0 + config.step * np.arange(steps + 1)
+        states = np.empty((steps + 1, 2 * sys.n))
+    except (ValueError, MemoryError):
+        raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
+    states[0] = y
     rhs = _rhs_function(sys)
-    trajectory = allocate_trajectory(config, sys.n)
-    trajectory.states[0] = y
-    with memoryview(trajectory.times) as times, memoryview(trajectory.states.reshape(-1)) as states:
-        _loop(config.method, 2 * sys.n)(rhs, times, states, y.tolist(), config.step, config)
-    return trajectory
+    with memoryview(times) as times_view, memoryview(states.reshape(-1)) as states_view:
+        _loop(config.method, 2 * sys.n)(rhs, times_view, states_view, y.tolist(), config.step, config)
+    return Trajectory(times=times, states=states)
 
 
 # One checked evaluation of the right-hand side `fn` at the stage time ts: a

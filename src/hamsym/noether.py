@@ -140,10 +140,18 @@ def _lifted(sys: HamiltonianSystem, exprs):
     return (sp.sympify, list(exprs)) if found is None else found
 
 
-def _check_components(sys: HamiltonianSystem, X: PointSymmetry) -> None:
-    """Refuse a symmetry whose component count is not the dimension of sys."""
-    if len(X.eta) != sys.n:
-        raise HamsymError(f"symmetry {X.name} has {len(X.eta)} components, system has n={sys.n}")
+def _check_symmetry(sys: HamiltonianSystem, X: PointSymmetry) -> tuple:
+    """The one rule for a symmetry of sys: sys.n eta and sys.n zeta
+    components, and each coefficient, v included, a function of (t, q, p)
+    and the parameters of sys. Returns the coefficients xi, eta, zeta, v
+    (when given) in that order; else raises HamsymError."""
+    if (len(X.eta), len(X.zeta)) != (sys.n, sys.n):
+        count = len(X.eta) if len(X.eta) == len(X.zeta) else f"{len(X.eta)} eta and {len(X.zeta)} zeta"
+        raise HamsymError(f"symmetry {X.name} has {count} components, system has n={sys.n}")
+    coefficients = (X.xi, *X.eta, *X.zeta, *(() if X.v is None else (X.v,)))
+    for e in coefficients:
+        check_phase_expression(e, sys.n, f"symmetry {X.name}", sys.parameters)
+    return coefficients
 
 
 @lru_cache(maxsize=8)
@@ -151,14 +159,9 @@ def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     """(lift, H, X) in the algebra that the code of (sys, X) computes in,
     where lift maps an Expr into it: the exact jet algebra of H, X's
     coefficients and X.v, whose arithmetic gives normal forms directly;
-    else Expr. Refuses an X without sys.n components, each a function of
-    (t, q, p) and the parameters of sys."""
-    _check_components(sys, X)
+    else Expr. Refuses an X that breaks `_check_symmetry`."""
     n = sys.n
-    v = () if X.v is None else (X.v,)
-    for e in (X.xi, *X.eta, *X.zeta, *v):
-        check_phase_expression(e, n, f"symmetry {X.name}", sys.parameters)
-    lift, (H, xi, *rest) = _lifted(sys, (sys.hamiltonian, X.xi, *X.eta, *X.zeta, *v))
+    lift, (H, xi, *rest) = _lifted(sys, (sys.hamiltonian, *_check_symmetry(sys, X)))
     return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]))
 
 
@@ -354,7 +357,7 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: st
 def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry:
     """On-shell evolutionary representative: xi = 0 with the time shift
     absorbed into the dependent components."""
-    _check_components(sys, X)
+    _check_symmetry(sys, X)
     qdot, pdot = canonical_equations(sys)
     eta = tuple(simplify(X.eta[i] - X.xi * qdot[i]) for i in range(sys.n))
     zeta = tuple(simplify(X.zeta[i] - X.xi * pdot[i]) for i in range(sys.n))
@@ -507,6 +510,8 @@ def functional_independence(
 
     if not integrals:
         raise HamsymError("need at least one integral")
+    for integral in integrals:
+        check_phase_expression(integral.expression, sys.n, f"integral {integral.name}", sys.parameters)
     state = state_symbols(sys.n)
     jacobian = [partial_diff(sys.bind(integral.expression), z) for integral in integrals for z in state[1:]]
     draws = draw_samples(state, jacobian, Random(derive_seed(seed, "independence")), sys.bound_singularities)

@@ -151,7 +151,6 @@ class _Parser:
         if kind == "op" and text == "^":
             self.next()
             exponent = self.unary()
-            exponent = sp.nsimplify(exponent) if not exponent.is_Rational else exponent
             if not exponent.is_Rational:
                 raise ParseError("exponent must be a rational constant", pos)
             if base == 0 and exponent < 0:

@@ -94,13 +94,6 @@ class PointSymmetry:
     zeta: tuple[sp.Expr, ...]
     v: sp.Expr | None = None
 
-    def __post_init__(self):
-        if len(self.eta) != len(self.zeta):
-            raise HamsymError(f"symmetry {self.name}: eta and zeta lengths differ")
-        for e in (self.xi, *self.eta, *self.zeta, *(() if self.v is None else (self.v,))):
-            if jet_order(e) > 0:
-                raise HamsymError(f"symmetry {self.name}: coefficient {e} contains jet symbols")
-
 
 @dataclass(frozen=True)
 class DivergenceTerm:

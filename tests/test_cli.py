@@ -294,8 +294,9 @@ class TestIdentityCheck:
         assert lemma1["status"] == "nonzero" and lemma1["witness"]
 
     def test_bad_dimension(self, capsys):
+        # refused by identity_check itself, the one check of the dimension
         code, _, err = run(capsys, "identity-check", "--n", "0")
-        assert code == 2
+        assert code == 2 and "dimension must be >= 1" in err
 
 
 @pytest.mark.parametrize(
@@ -452,6 +453,19 @@ def test_symbolic_commands_never_import_numpy():
     out = _fresh_python("-c", NUMPY_PROBE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str(([False] * 5 + [True], [0, 1, 1, 0, 0]))
+
+
+def test_traced_simulate_spends_its_time_in_traced_spans(tmp_path):
+    # bench/tracer.py's spans must cover the simulate command, as
+    # bench/run.py computes coverage: the self time of every span but the
+    # root, over the root cli.main; numpy's import falls inside integrate
+    stats = tmp_path / "stats.json"
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    out = _fresh_python(str(tracer), str(stats), "simulate", "--example", "example1", "--state", "1,0", "--json")
+    assert out.returncode == 0, out.stderr
+    spans = json.loads(stats.read_text())["spans"]
+    inside = sum(span["self_s"] for name, span in spans.items() if name != "cli.main")
+    assert inside / spans["cli.main"]["total_s"] >= 0.9
 
 
 # `python -m hamsym.cli ARGV...` with the first argument taken out: a file
@@ -619,6 +633,28 @@ def test_simulate_builds_canonical_equations_once(capsys):
     assert code == 0 and memo.cache_info().misses == 1
 
 
+def test_simulate_is_one_pass(capsys, monkeypatch):
+    # integrate allocates the one trajectory before the symbolic report; each
+    # relation is substituted twice, for its skip decision and by relation_check
+    calls = []
+
+    def counted(label, function):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hamsym.dynamics, "Trajectory", counted("trajectory", hamsym.dynamics.Trajectory))
+    monkeypatch.setattr(hamsym.cli, "build_report", counted("report", hamsym.cli.build_report))
+    substitute = counted("relation", hamsym.noether.relation_expression)
+    monkeypatch.setattr(hamsym.cli, "relation_expression", substitute)
+    monkeypatch.setattr(hamsym.noether, "relation_expression", substitute)
+    code, payload, _ = run_json(capsys, "simulate", "--example", "example1", "--state", "1,0", "--h", "0.01")
+    assert code == 0 and [entry["integral"] for entry in payload["drift"]] == ["X1", "X2", "X3", "conic"]
+    assert calls == ["trajectory", "report", "report", "report", "relation", "relation"]
+
+
 def _wrong_v_file(tmp_path):
     """example1 with v = q1 given for X1, whose Theorem 1 holds with V = 0."""
     from hamsym.registry import EXAMPLES
@@ -688,6 +724,10 @@ class TestExitCodes:
             (("verify", "--example", "example1", "sqrt(q1^2)"), "no written form"),
             (("verify", "--example", "example1", "arctan(1)*q1"), "no written form"),
             (("verify", "--example", "example1", "log(-1)*q1"), "no written form"),
+            # (t1 - t0) / h overflows to inf, which no step count can round
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "1e-320"), "step count"),
+            (("simulate", "--example", "oscillator", "--state", "1,0", "--t0=-1e308", "--t1=1e308"), "step count"),
+            (("simulate", "--example", "oscillator", "--state", "1,x"), "bad state component"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):

@@ -422,6 +422,30 @@ _C = sp.Symbol("c", real=True)
             lambda d: evolutionary_form(d["kepler3"].system, d["example1"].symmetry("X1")),
             "symmetry X1 has 1 components, system has n=3",
         ),
+        (
+            lambda d: evolutionary_form(FREE_PARTICLE, PointSymmetry("A", sp.Integer(0), (coord(2),), (sp.Integer(0),))),
+            "symmetry A references q2 outside dimension 1",
+        ),
+        (
+            lambda d: evolutionary_form(FREE_PARTICLE, PointSymmetry("B", _K, (sp.Integer(0),), (sp.Integer(0),))),
+            "symmetry B references undeclared parameter K",
+        ),
+        (
+            lambda d: functional_independence([FirstIntegral("J", coord(2))], FREE_PARTICLE),
+            "integral J references q2 outside dimension 1",
+        ),
+        (
+            lambda d: functional_independence([FirstIntegral("J", _K * q)], FREE_PARTICLE),
+            "integral J references undeclared parameter K",
+        ),
+        (
+            lambda d: check_invariance(FREE_PARTICLE, PointSymmetry("M", sp.Integer(0), (q,), (p, p))),
+            "symmetry M has 1 eta and 2 zeta components, system has n=1",
+        ),
+        (
+            lambda d: check_invariance(FREE_PARTICLE, PointSymmetry("D", dq, (sp.Integer(0),), (sp.Integer(0),))),
+            "symmetry D must not contain jet symbols",
+        ),
     ],
     ids=[
         "integral-undeclared",
@@ -434,6 +458,12 @@ _C = sp.Symbol("c", real=True)
         "integral-not-real",
         "parameter-not-real",
         "evolutionary-components",
+        "evolutionary-index",
+        "evolutionary-undeclared",
+        "independence-index",
+        "independence-undeclared",
+        "eta-zeta-lengths",
+        "coefficient-jet",
     ],
 )
 def test_library_inputs_follow_the_system_file_rule(call, match, example1, kepler3):

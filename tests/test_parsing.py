@@ -96,8 +96,10 @@ class TestParseErrors:
             parse_expression("K*q1", CTX1)
 
     def test_irrational_exponent(self):
-        with pytest.raises(ParseError):
-            parse_expression("q1^p1", CTX1)
+        # an exponent is a Rational as parsed or refused, never rounded to one
+        for text in ("q1^p1", "q1^(exp(1/10^12))", "q1^(log(2)/log(4))"):
+            with pytest.raises(ParseError, match="exponent must be a rational constant"):
+                parse_expression(text, CTX1)
 
     def test_division_by_literal_zero(self):
         with pytest.raises(ParseError):
@@ -313,6 +315,58 @@ class TestSystemFile:
     def test_reserved_parameter_name(self):
         with pytest.raises(SchemaError):
             parse_system_file('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { t = 1 }\n')
+
+    @pytest.mark.parametrize(
+        "text, path, message",
+        [
+            ('[system]\nn = 1\nhamiltonian = "p1^2\n', "system.hamiltonian", "unterminated string"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nsingularities = ["q1"\n', "system.singularities", "unterminated list"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { K = 1\n', "system.parameters", "unterminated table"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nsingularities = [q1]\n', "system.singularities", "must be quoted strings"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { 1 }\n', "system.parameters", "bad table entry"),
+            ('[system]\nn = x\nhamiltonian = "p1^2"\n', "system.n", "expected integer or rational"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nwhat\n', "file", "cannot parse line 4"),
+            ('n = 1\n[system]\nhamiltonian = "p1^2"\n', "file", "key outside any section at line 1"),
+            ('[system]\nn = 1\nn = 1\nhamiltonian = "p1^2"\n', "system", "duplicate key 'n'"),
+            ("[system]\nn = 1\nhamiltonian = 1\n", "system.hamiltonian", "expected a quoted expression"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = ["K"]\n', "system.parameters", "inline table"),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\nsingularities = "q1"\n', "system.singularities", "must be a list"),
+            (
+                '[system]\nn = 1\nhamiltonian = "p1^2"\n[[symmetry]]\nname = 1\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n',
+                "symmetry[0].name",
+                "name must be a string",
+            ),
+            (
+                '[system]\nn = 1\nhamiltonian = "p1^2"\n[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
+                '[[relation]]\nname = "r"\nexpr = "A"\nequals = "1"\n',
+                "relation[0].equals",
+                "equals must be a rational constant",
+            ),
+            ('[system]\nn = 1\nhamiltonian = "p1^2"\n[other]\n', "section #1", "unexpected section [other]"),
+        ],
+        ids=[
+            "unterminated-string",
+            "unterminated-list",
+            "unterminated-table",
+            "unquoted-list-item",
+            "bad-table-entry",
+            "not-rational",
+            "unparsable-line",
+            "key-outside-section",
+            "duplicate-key",
+            "non-string-expression",
+            "parameters-not-table",
+            "singularities-not-list",
+            "non-string-name",
+            "equals-not-rational",
+            "unexpected-section",
+        ],
+    )
+    def test_schema_errors(self, text, path, message):
+        # each malformed file is refused by its own rule, named at its path
+        with pytest.raises(SchemaError) as info:
+            parse_system_file(text)
+        assert info.value.path == path and message in str(info.value)
 
     @pytest.mark.parametrize(
         "text, path",
