@@ -14,6 +14,12 @@ import math
 import sys
 import traceback
 
+if __name__ == "__main__":
+    # The process entry: sympy's import builds about 100k long-lived objects,
+    # which the cyclic collector would walk some 130 times for a few dozen
+    # pieces of garbage. `run` freezes that heap and turns the collector on.
+    gc.disable()
+
 from . import __version__
 from .dynamics import IntegratorConfig, SingularityAbort, drift, integrate
 from .expressions import DEFAULT_TOL, Verdict
@@ -365,8 +371,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The `hamsym` command: run `main` on sys.argv and end the process with
-    its exit code."""
+    """The `hamsym` command, `python -m hamsym.cli` (which the console script
+    runs too): run `main` on sys.argv and end the process with its exit
+    code."""
+    # Everything imported so far lives until exit: no collection walks it
+    # again, while what `main` allocates is collected as usual.
+    gc.freeze()
+    gc.enable()
     try:
         sys.exit(main())
     finally:

@@ -468,21 +468,49 @@ def test_traced_simulate_spends_its_time_in_traced_spans(tmp_path):
     assert inside / spans["cli.main"]["total_s"] >= 0.9
 
 
-# `python -m hamsym.cli ARGV...` with the first argument taken out: a file
-# that an atexit handler writes the frozen object count to
+# A fresh `hamsym` process with the first two arguments taken out: the entry
+# (`-m` runs `python -m hamsym.cli`, `script` calls the console script's
+# target as its generated wrapper does) and a file that an atexit handler
+# writes the collector's state to, as `main` builds its parser and at exit
 ENTRY_PROBE = """\
-import atexit, gc, runpy, sys
-report = sys.argv.pop(1)
+import argparse, atexit, gc, json, runpy, sys
+entry, report = sys.argv.pop(1), sys.argv.pop(1)
+collections, state = [], {}
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
+build = argparse.ArgumentParser.__init__
+
+
+def start(parser, *args, **kwargs):
+    if kwargs.get("prog") == "hamsym" and "main" not in state:
+        state["main"] = {
+            "enabled": gc.isenabled(),
+            "frozen": gc.get_freeze_count(),
+            "sympy": "sympy" in sys.modules,
+            "collections": len(collections),
+        }
+    build(parser, *args, **kwargs)
 
 
 def probe():
     with open(report, "w") as handle:
-        handle.write(str(gc.get_freeze_count()))
+        json.dump({**state, "frozen": gc.get_freeze_count()}, handle)
 
 
+argparse.ArgumentParser.__init__ = start
 atexit.register(probe)
-runpy.run_module("hamsym.cli", run_name="__main__", alter_sys=True)
+if entry == "-m":
+    runpy.run_module("hamsym.cli", run_name="__main__", alter_sys=True)
+else:
+    from hamsym.__main__ import run
+
+    sys.exit(run())
 """
+ENTRIES = ["-m", "script"]
+
+
+def _run_entry(entry: str, report: Path, *argv: str) -> tuple[subprocess.CompletedProcess, dict]:
+    out = _fresh_python("-c", ENTRY_PROBE, entry, str(report), *argv)
+    return out, json.loads(report.read_text())
 
 
 @pytest.mark.parametrize(
@@ -498,36 +526,80 @@ runpy.run_module("hamsym.cli", run_name="__main__", alter_sys=True)
     ids=["pass", "fail", "unknown-example", "usage", "numeric-abort", "csv"],
 )
 def test_entry_point_freezes_the_heap_and_matches_main(capsys, tmp_path, argv, expected):
-    # a fresh process ends through `run`, which freezes the heap for
-    # shutdown and otherwise gives what in-process `main` gives; `main`
-    # itself leaves the collector as it was
+    # a fresh process, through either entry, ends through `run`, which
+    # freezes the heap for shutdown and otherwise gives what in-process
+    # `main` gives; `main` itself leaves the collector as it was
     falling = tmp_path / "falling.txt"
     falling.write_text(FALLING)
 
     def fill(side):
         return [a.format(falling=falling, csv=tmp_path / f"{side}.csv") for a in argv]
 
-    frozen = gc.get_freeze_count()
+    collector = gc.isenabled(), gc.get_freeze_count()
     try:
         code = main(fill("main"))
     except SystemExit as exc:  # argparse's usage error
         code = exc.code
     captured = capsys.readouterr()
-    assert code == expected and gc.get_freeze_count() == frozen
-    report = tmp_path / "frozen"
-    out = _fresh_python("-c", ENTRY_PROBE, str(report), *fill("run"))
-    assert (out.returncode, out.stdout, out.stderr) == (code, captured.out, captured.err)
-    assert int(report.read_text()) > 0
-    if "{csv}" in argv:
-        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    assert code == expected and (gc.isenabled(), gc.get_freeze_count()) == collector
+    for entry in ENTRIES:
+        out, state = _run_entry(entry, tmp_path / f"{entry}.json", *fill(entry))
+        assert (out.returncode, out.stdout, out.stderr) == (code, captured.out, captured.err), entry
+        assert state["frozen"] > 0
+        if "{csv}" in argv:
+            assert (tmp_path / f"{entry}.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
-def test_console_script_and_main_block_call_the_same_entry():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_imports_with_the_collector_paused(tmp_path, entry):
+    # importing sympy builds ~100k long-lived objects; with the collector on
+    # it ran about 130 times before `main`. The entry imports with it off,
+    # freezes that heap and turns it back on before `main` starts.
+    out, state = _run_entry(entry, tmp_path / "state.json", "identity-check", "--n", "1", "--count", "2")
+    assert out.returncode == 0, out.stderr
+    start = state["main"]
+    assert start["enabled"] and start["sympy"] and start["frozen"] > 0
+    assert start["collections"] <= 3
+
+
+LIBRARY_PROBE = """\
+import contextlib, gc, io, json, sys
+import hamsym
+states = [["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count()]]
+import hamsym.cli
+states.append(["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count()])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hamsym.cli.main(["identity-check", "--n", "1", "--count", "2"])
+states.append([code, gc.isenabled(), gc.get_freeze_count()])
+print(json.dumps(states))
+"""
+
+
+def test_library_imports_leave_the_collector_alone():
+    # `import hamsym` loads no sympy; `import hamsym.cli` and in-process
+    # `main` neither pause the collector nor freeze anything
+    out = _fresh_python("-c", LIBRARY_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[False, True, 0], [True, True, 0], [0, True, 0]]
+    from hamsym import EXAMPLES, load_example
+
+    assert EXAMPLES is hamsym.registry.EXAMPLES
+    assert load_example("example1").system.n == 1
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        hamsym.nosuch
+
+
+def test_console_script_and_main_block_call_the_same_entry(capsys):
+    # the console script and `python -m hamsym` run `hamsym.cli` as
+    # `__main__`, whose last lines call `run`
     root = Path(__file__).resolve().parent.parent
     scripts = (root / "pyproject.toml").read_text().splitlines()
-    assert scripts[scripts.index("[project.scripts]") + 1] == 'hamsym = "hamsym.cli:run"'
+    assert scripts[scripts.index("[project.scripts]") + 1] == 'hamsym = "hamsym.__main__:run"'
     cli = (root / "src" / "hamsym" / "cli.py").read_text().splitlines()
-    assert cli[cli.index('if __name__ == "__main__":') + 1 :] == ["    run()"]
+    assert cli[-2:] == ['if __name__ == "__main__":', "    run()"]
+    assert main(["examples"]) == 0
+    out = _fresh_python("-m", "hamsym", "examples")
+    assert (out.returncode, out.stdout, out.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_check_builds_shared_objects_once(capsys, monkeypatch):
