@@ -145,7 +145,7 @@ def _symmetry_entry(report) -> dict:
         "direct": [v.status for v in report.direct_invariance_verdicts],
     }
     if report.divergence is not None:
-        entry["divergence"]["v"] = format_expression(report.divergence.v)
+        entry["divergence"]["v"] = format_expression(report.divergence)
     if report.divergence_verdict is not None and not report.divergence_verdict.is_zero:
         entry["divergence"]["verdict"] = report.divergence_verdict.to_dict()
     if report.integral is not None:

@@ -143,9 +143,8 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
 
     The trajectory is allocated first, so one too large to hold raises
     IntegrationError before anything is compiled. The loop is generated for
-    the method and the state dimension, and runs on local Python floats, in
-    the same order of operations as the array expressions each stage stands
-    for.
+    the method and the state dimension, and runs on local Python floats; the
+    three tests/golden/trajectory-*.csv files pin its states bit for bit.
     """
     import numpy as np
 

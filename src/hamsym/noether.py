@@ -7,6 +7,7 @@ All verdicts are seeded and deterministic.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import islice
 from random import Random
@@ -40,7 +41,6 @@ from .expressions import (
 )
 from .parsing import format_expression
 from .systems import (
-    DivergenceTerm,
     FirstIntegral,
     HamiltonianSystem,
     InvarianceReport,
@@ -159,10 +159,11 @@ def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     """(lift, H, X) in the algebra that the code of (sys, X) computes in,
     where lift maps an Expr into it: the exact jet algebra of H, X's
     coefficients and X.v, whose arithmetic gives normal forms directly;
-    else Expr. Refuses an X that breaks `_check_symmetry`."""
+    else Expr. X.v, when given, is lifted with the rest. Refuses an X that
+    breaks `_check_symmetry`."""
     n = sys.n
     lift, (H, xi, *rest) = _lifted(sys, (sys.hamiltonian, *_check_symmetry(sys, X)))
-    return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]))
+    return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]), *rest[2 * n :])
 
 
 def _apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
@@ -217,17 +218,17 @@ def _jet_linear_coefficients(sys: HamiltonianSystem, residual):
 
 def find_divergence_term(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
-) -> tuple[str, DivergenceTerm | None]:
+) -> tuple[str, sp.Expr | None]:
     """Try to write the off-shell residual as D(V) for some V(t, q, p).
 
-    Returns (status, term) with status one of 'zero' (residual already
+    Returns (status, V) with status one of 'zero' (residual already
     vanishes, V = 0), 'synthesized', 'no-v-exists' (integrability fails
     definitively) or 'not-synthesizable' (non-polynomial coefficients;
-    a caller-supplied V may still verify).
+    a caller-supplied V may still verify); V is None for the last two.
     """
     residual = _residual(sys, X)
     if residual == 0:
-        return "zero", DivergenceTerm(sp.Integer(0), "synthesized")
+        return "zero", sp.Integer(0)
     a, b, c = _jet_linear_coefficients(sys, residual)
     variables = state_symbols(sys.n)
     gradient = [a, *b, *c]
@@ -251,27 +252,20 @@ def find_divergence_term(
     recheck = residual - total_derivative(algebra_lift(residual)(v))
     if not _zero(sys, recheck, f"divsynth:{X.name}", seed, tol).is_zero:
         return "not-synthesizable", None
-    return "synthesized", DivergenceTerm(v, "synthesized")
+    return "synthesized", v
 
 
 def check_divergence_invariance(
     sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    """The divergence remark: the on-shell verdict of residual - D(v), in the
-    algebra of (sys, X) when v lies in it, else over Expr."""
-    check_phase_expression(v, sys.n, "divergence term", sys.parameters)
-    residual, lifted = _residual(sys, X), _in_algebra(sys, X, v)
-    if lifted is None:
-        residual, lifted = to_expr(residual), sp.sympify(v)
-    return _zero(sys, on_shell(sys, residual - total_derivative(lifted)), f"divergence:{X.name}", seed, tol)
+    """The divergence remark: the on-shell verdict of residual - D(v),
+    decided for X with v as its own v, in the algebra of both."""
+    return _divergence(sys, replace(X, v=v), seed, tol)[3]
 
 
-def _in_algebra(sys: HamiltonianSystem, X: PointSymmetry, v: sp.Expr):
-    """v in the algebra of (sys, X), or None when v leaves its exact algebra."""
-    try:
-        return _algebra(sys, X)[0](v)
-    except ValueError:
-        return None
+def _divergence_verdict(sys: HamiltonianSystem, X: PointSymmetry, v, seed: int, tol: float) -> Verdict:
+    """The on-shell verdict of residual - D(v), with v in the algebra of (sys, X)."""
+    return _zero(sys, on_shell(sys, _residual(sys, X) - total_derivative(v)), f"divergence:{X.name}", seed, tol)
 
 
 def _divergence(sys: HamiltonianSystem, X: PointSymmetry, seed: int, tol: float):
@@ -279,16 +273,17 @@ def _divergence(sys: HamiltonianSystem, X: PointSymmetry, seed: int, tol: float)
     status, V, the verdict that justifies V). V is X.v when given, and then
     Theorem 1 is not decided (None), since nothing reads it; else V is 0
     when Theorem 1 holds, else a synthesized term. V and its verdict are
-    None when no V is found."""
+    None when no V is found. Every V is decided in the algebra of (sys, X):
+    X.v as `_algebra` lifted it, a V made here (a polynomial over QQ in t,
+    q, p and the parameters) by that algebra's lift."""
+    lift, _, lifted = _algebra(sys, X)
     if X.v is not None:
-        verdict = check_divergence_invariance(sys, X, X.v, seed=seed, tol=tol)
-        return None, "user-supplied", DivergenceTerm(X.v, "user-supplied"), verdict
+        return None, "user-supplied", X.v, _divergence_verdict(sys, X, lifted.v, seed, tol)
     theorem1 = check_invariance(sys, X, seed=seed, tol=tol)
     if theorem1.is_zero:
-        return theorem1, "zero", DivergenceTerm(sp.Integer(0), "synthesized"), theorem1
-    status, term = find_divergence_term(sys, X, seed=seed, tol=tol)
-    verdict = None if term is None else check_divergence_invariance(sys, X, term.v, seed=seed, tol=tol)
-    return theorem1, status, term, verdict
+        return theorem1, "zero", sp.Integer(0), theorem1
+    status, v = find_divergence_term(sys, X, seed=seed, tol=tol)
+    return theorem1, status, v, None if v is None else _divergence_verdict(sys, X, lift(v), seed, tol)
 
 
 def first_integral(
@@ -300,37 +295,27 @@ def first_integral(
     tol: float = DEFAULT_TOL,
 ) -> FirstIntegral:
     """I = p_i*eta^i - xi*H - V, refused unless V's verdict is zero. V is `v`
-    when given, else the divergence decision's; `force` builds I anyway,
-    with V = 0 when no V is found."""
-    if v is None:
-        theorem1, _, term, verdict = _divergence(sys, X, seed, tol)
-        v = sp.Integer(0) if term is None else term.v
-    else:
-        verdict = check_divergence_invariance(sys, X, v, seed=seed, tol=tol)
+    when given, decided as X's own v, else the divergence decision's;
+    `force` builds I anyway, with V = 0 when no V is found."""
+    if v is not None:
+        X = replace(X, v=v)
+    theorem1, _, v, verdict = _divergence(sys, X, seed, tol)
     if force or (verdict is not None and verdict.is_zero):
-        return _integral(sys, X, v, seed, tol)
+        return _integral(sys, X, sp.Integer(0) if v is None else v, seed, tol)
     if verdict is None:
         raise InvarianceError(f"symmetry {X.name} does not leave the Hamiltonian action invariant ({theorem1.status})")
     raise InvarianceError(f"symmetry {X.name} is not invariant up to D(V), V = {format_expression(v)} ({verdict.status})")
 
 
-def _noether_integral(lift, H, X: PointSymmetry, v):
-    """p_i*eta^i - xi*H - V in the algebra of lift."""
-    out = -X.xi * H - v
-    for i, eta in enumerate(X.eta, start=1):
-        out += lift(momentum(i)) * eta
-    return out
-
-
 def _integral(sys, X, v, seed, tol) -> FirstIntegral:
-    """Build I = p_i*eta^i - xi*H - V once in the algebra of (sys, X), verify
-    it without gating, and print it; over Expr when V leaves an exact algebra."""
-    lifted_v = _in_algebra(sys, X, v)
-    if lifted_v is None:
-        expr = simplify(_noether_integral(sp.sympify, sys.hamiltonian, X, v))
-        return FirstIntegral(X.name, expr, verify_first_integral(sys, expr, seed=seed, tol=tol))
-    lift, H, lifted = _algebra(sys, X)
-    integral = simplify(_noether_integral(lift, H, lifted, lifted_v))
+    """Build I = p_i*eta^i - xi*H - V once in the algebra of (sys, X), which
+    holds V (X.v, 0 or a synthesized V), verify it without gating, and
+    print it."""
+    lift, H, X = _algebra(sys, X)
+    integral = -X.xi * H - lift(v)
+    for i, eta in enumerate(X.eta, start=1):
+        integral += lift(momentum(i)) * eta
+    integral = simplify(integral)
     return FirstIntegral(X.name, to_expr(integral), _conserved(sys, integral, seed, tol))
 
 
@@ -542,5 +527,5 @@ def build_report(
         divergence_verdict=divergence_verdict,
         theorem4_verdicts=theorem4_conditions(sys, X, seed=seed, tol=tol),
         direct_invariance_verdicts=equation_invariance_direct(sys, X, seed=seed, tol=tol),
-        integral=_integral(sys, X, divergence.v, seed, tol) if justified else None,
+        integral=_integral(sys, X, divergence, seed, tol) if justified else None,
     )

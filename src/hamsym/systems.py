@@ -13,7 +13,6 @@ __all__ = [
     "check_phase_expression",
     "HamiltonianSystem",
     "PointSymmetry",
-    "DivergenceTerm",
     "FirstIntegral",
     "Relation",
     "SystemDefinition",
@@ -96,14 +95,6 @@ class PointSymmetry:
 
 
 @dataclass(frozen=True)
-class DivergenceTerm:
-    """A function V(t,q,p) with residual = D(V), user-supplied or synthesized."""
-
-    v: sp.Expr
-    provenance: str  # "user-supplied" | "synthesized"
-
-
-@dataclass(frozen=True)
 class FirstIntegral:
     name: str
     expression: sp.Expr
@@ -139,7 +130,7 @@ class InvarianceReport:
 
     symmetry: str
     verdict_theorem1: Verdict
-    divergence: DivergenceTerm | None
+    divergence: sp.Expr | None  # V: the given v, 0 or synthesized; None when none is found
     divergence_status: str
     divergence_verdict: Verdict | None
     theorem4_verdicts: tuple[Verdict, ...]

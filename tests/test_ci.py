@@ -11,8 +11,10 @@ def test_workflow_runs_the_tier1_command():
     commands = [line.strip() for line in workflow.splitlines()]
     assert commands.count(TIER1) == 1
     assert "hamsym examples" in commands  # the installed console script
-    # the installed package's module entry, run outside the checkout
-    assert commands.index('cd "$RUNNER_TEMP"') + 1 == commands.index("python -m hamsym.cli examples")
+    # the installed package's module entries, run outside the checkout
+    outside = commands.index('cd "$RUNNER_TEMP"')
+    assert outside + 1 == commands.index("python -m hamsym.cli examples")
+    assert outside + 2 == commands.index("python -m hamsym examples")
     try:
         import yaml
     except ImportError:

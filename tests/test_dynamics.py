@@ -41,9 +41,11 @@ class TestCompile:
         assert fn(0.0, np.array([1.0, 0, 0, 0, 1.0, 0])) == -0.5
 
     def test_singular_point(self):
-        fn = compile_expression(1 / q, 1)
-        with pytest.raises(SingularityAbort):
-            fn(0.0, np.array([0.0, 1.0]))
+        # a pole, and a value that is not a finite real: the float power of
+        # a negative base
+        for e, q1, message in ((1 / q, 0.0, "singular evaluation"), (q ** sp.Rational(1, 3), -1.0, "non-finite value")):
+            with pytest.raises(SingularityAbort, match=message):
+                compile_expression(e, 1)(0.0, np.array([q1, 1.0]))
 
     def test_unbound_parameter(self, kepler3):
         # parameters are bound by the time an expression is compiled

@@ -132,12 +132,11 @@ class TestDivergenceTerm:
     def test_projective_synthesis(self, example1):
         status, term = find_divergence_term(example1.system, example1.symmetry("X3"), seed=SEED)
         assert status == "synthesized"
-        assert simplify(term.v - q**2 / 2) == 0
-        assert term.provenance == "synthesized"
+        assert simplify(term - q**2 / 2) == 0
 
     def test_zero_when_already_invariant(self, example1):
         status, term = find_divergence_term(example1.system, example1.symmetry("X1"), seed=SEED)
-        assert status == "zero" and term.v == 0
+        assert status == "zero" and term == 0
 
     def test_integrability_contradiction(self, coulomb):
         status, term = find_divergence_term(coulomb.system, coulomb.symmetry("X2"), seed=SEED)
@@ -395,7 +394,7 @@ _C = sp.Symbol("c", real=True)
         (lambda d: verify_first_integral(d["kepler3"].system, coord(5)), "q5 outside dimension 3"),
         (
             lambda d: check_divergence_invariance(d["example1"].system, d["example1"].symmetry("X3"), q**2 / 2 + _C),
-            "undeclared parameter c",
+            "symmetry X3 references undeclared parameter c",
         ),
         (
             lambda d: check_invariance(
@@ -446,6 +445,7 @@ _C = sp.Symbol("c", real=True)
             lambda d: check_invariance(FREE_PARTICLE, PointSymmetry("D", dq, (sp.Integer(0),), (sp.Integer(0),))),
             "symmetry D must not contain jet symbols",
         ),
+        (lambda d: variational_derivative_p(coord_deriv(1, 2), 1), "variational derivative requires jet order <= 1"),
     ],
     ids=[
         "integral-undeclared",
@@ -464,6 +464,7 @@ _C = sp.Symbol("c", real=True)
         "independence-undeclared",
         "eta-zeta-lengths",
         "coefficient-jet",
+        "variational-second-order",
     ],
 )
 def test_library_inputs_follow_the_system_file_rule(call, match, example1, kepler3):
@@ -627,13 +628,31 @@ class TestBuildReport:
             else:
                 status, term = find_divergence_term(sys_, X, seed=SEED)
                 assert (report.divergence_status, report.divergence) == (status, term), X.name
-                expected = None if term is None else check_divergence_invariance(sys_, X, term.v, seed=SEED)
+                expected = None if term is None else check_divergence_invariance(sys_, X, term, seed=SEED)
             assert report.divergence_verdict == expected, X.name
             assert report.theorem4_verdicts == theorem4_conditions(sys_, X, seed=SEED), X.name
             assert report.direct_invariance_verdicts == equation_invariance_direct(sys_, X, seed=SEED), X.name
-            v = None if report.divergence is None else report.divergence.v
+            v = report.divergence
             if report.integral is not None:
                 assert report.integral == first_integral(sys_, X, v=v, seed=SEED), X.name
             else:
                 with pytest.raises(InvarianceError):
                     first_integral(sys_, X, v=v, seed=SEED)
+
+    def test_a_supplied_v_is_decided_as_the_symmetry_v(self, example1, oscillator, kepler3):
+        # a V passed to the library takes the path of a file's v: the algebra
+        # of H, X's coefficients and V together, even when V leaves X's own
+        angle = sp.atan(p / q) + TIME
+        generated = hamiltonian_vector_field(oscillator.system, angle)
+        Y1 = kepler3.symmetry("Y1")
+        for sys_, X, v in (
+            (example1.system, example1.symmetry("X3"), q**2 / 2 + sp.sqrt(2)),
+            (oscillator.system, generated, simplify(p * sp.diff(angle, p) - angle)),
+            (kepler3.system, Y1, Y1.v),
+        ):
+            report = build_report(sys_, replace(X, v=v), seed=SEED)
+            assert report.divergence_verdict.is_zero, X.name
+            assert check_divergence_invariance(sys_, X, v, seed=SEED) == report.divergence_verdict, X.name
+            assert first_integral(sys_, X, v=v, seed=SEED) == report.integral, X.name
+        lift, _, lifted = hamsym.noether._algebra(kepler3.system, Y1)
+        assert lifted.v == lift(Y1.v)

@@ -102,8 +102,9 @@ class TestParseErrors:
                 parse_expression(text, CTX1)
 
     def test_division_by_literal_zero(self):
-        with pytest.raises(ParseError):
-            parse_expression("1/0", CTX1)
+        for text, message in (("1/0", "division by literal zero"), ("0^-1", "zero raised to a negative power")):
+            with pytest.raises(ParseError, match=message):
+                parse_expression(text, CTX1)
 
 
 def _random_expression(rng: Random, depth: int = 0) -> sp.Expr:
@@ -311,6 +312,10 @@ class TestSystemFile:
         assert defn.system.parameters == {"K": sp.Rational(1, 2)}
         assert defn.system.singularities == (coord(1),)
         assert defn.symmetries[0].name == "X#1"
+
+    def test_empty_list_and_table(self):
+        defn = parse_system_file('[system]\nn = 1\nhamiltonian = "p1^2"\nsingularities = []\nparameters = {}\n')
+        assert (defn.system.singularities, defn.system.parameters) == ((), {})
 
     def test_reserved_parameter_name(self):
         with pytest.raises(SchemaError):

@@ -1,0 +1,17 @@
+"""README's quick start runs as written: each print prints its comment."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_prints_its_comments():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
