@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -19,6 +20,10 @@ if __name__ == "__main__":
     # which the cyclic collector would walk some 130 times for a few dozen
     # pieces of garbage. `run` freezes that heap and turns the collector on.
     gc.disable()
+    # No command makes a BLAS call, so numpy's OpenBLAS needs no worker
+    # threads; it would start nproc - 1 of them, which spin before they
+    # sleep. Read when numpy loads, after this line; a user's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .dynamics import IntegratorConfig, SingularityAbort, drift, integrate

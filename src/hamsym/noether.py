@@ -308,11 +308,11 @@ def first_integral(
 
 
 def _integral(sys, X, v, seed, tol) -> FirstIntegral:
-    """Build I = p_i*eta^i - xi*H - V once in the algebra of (sys, X), which
-    holds V (X.v, 0 or a synthesized V), verify it without gating, and
-    print it."""
+    """Build I = p_i*eta^i - xi*H - V once in the algebra of (sys, X), verify
+    it without gating, and print it. V is X.v as `_algebra` lifted it, when
+    given; else v (0 or a synthesized V), lifted here."""
     lift, H, X = _algebra(sys, X)
-    integral = -X.xi * H - lift(v)
+    integral = -X.xi * H - (lift(v) if X.v is None else X.v)
     for i, eta in enumerate(X.eta, start=1):
         integral += lift(momentum(i)) * eta
     integral = simplify(integral)

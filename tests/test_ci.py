@@ -11,10 +11,12 @@ def test_workflow_runs_the_tier1_command():
     commands = [line.strip() for line in workflow.splitlines()]
     assert commands.count(TIER1) == 1
     assert "hamsym examples" in commands  # the installed console script
-    # the installed package's module entries, run outside the checkout
+    # the installed package's module entries, run outside the checkout, and
+    # the installed entry on a path that loads numpy
     outside = commands.index('cd "$RUNNER_TEMP"')
     assert outside + 1 == commands.index("python -m hamsym.cli examples")
     assert outside + 2 == commands.index("python -m hamsym examples")
+    assert outside + 3 == commands.index("hamsym simulate --example oscillator --state 1,0 --t1 0.1 --json")
     try:
         import yaml
     except ImportError:

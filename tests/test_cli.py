@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -440,10 +441,11 @@ print((loaded, codes))
 """
 
 
-def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this hamsym, run with captured text output."""
+def _fresh_python(*argv: str, environ: Mapping[str, str] = os.environ) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this hamsym, run in `environ` with
+    captured text output."""
     src = str(Path(hamsym.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {**environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
@@ -471,9 +473,11 @@ def test_traced_simulate_spends_its_time_in_traced_spans(tmp_path):
 # A fresh `hamsym` process with the first two arguments taken out: the entry
 # (`-m` runs `python -m hamsym.cli`, `script` calls the console script's
 # target as its generated wrapper does) and a file that an atexit handler
-# writes the collector's state to, as `main` builds its parser and at exit
+# writes the collector's state to, as `main` builds its parser and at exit,
+# with the process's thread count (None without /proc) and its
+# OPENBLAS_NUM_THREADS at exit
 ENTRY_PROBE = """\
-import argparse, atexit, gc, json, runpy, sys
+import argparse, atexit, gc, json, os, runpy, sys
 entry, report = sys.argv.pop(1), sys.argv.pop(1)
 collections, state = [], {}
 gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
@@ -493,7 +497,16 @@ def start(parser, *args, **kwargs):
 
 def probe():
     with open(report, "w") as handle:
-        json.dump({**state, "frozen": gc.get_freeze_count()}, handle)
+        json.dump(
+            {
+                **state,
+                "frozen": gc.get_freeze_count(),
+                "numpy": "numpy" in sys.modules,
+                "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+                "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+            },
+            handle,
+        )
 
 
 argparse.ArgumentParser.__init__ = start
@@ -508,8 +521,10 @@ else:
 ENTRIES = ["-m", "script"]
 
 
-def _run_entry(entry: str, report: Path, *argv: str) -> tuple[subprocess.CompletedProcess, dict]:
-    out = _fresh_python("-c", ENTRY_PROBE, entry, str(report), *argv)
+def _run_entry(
+    entry: str, report: Path, *argv: str, environ: Mapping[str, str] = os.environ
+) -> tuple[subprocess.CompletedProcess, dict]:
+    out = _fresh_python("-c", ENTRY_PROBE, entry, str(report), *argv, environ=environ)
     return out, json.loads(report.read_text())
 
 
@@ -562,25 +577,48 @@ def test_entry_imports_with_the_collector_paused(tmp_path, entry):
     assert start["collections"] <= 3
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc/self/task")
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_keeps_numpy_on_one_thread(tmp_path, entry):
+    # no command makes a BLAS call, so the entry caps numpy's OpenBLAS at
+    # the main thread (its idle workers spin before they sleep); a value the
+    # user set is kept and takes effect as in a bare numpy import
+    argv = ("simulate", "--example", "oscillator", "--state", "1,0", "--t1", "0.1")
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out, state = _run_entry(entry, tmp_path / "unset.json", *argv, environ=unset)
+    assert out.returncode == 0, out.stderr
+    assert (state["numpy"], state["threads"], state["openblas"]) == (True, 1, "1")
+    preset = {**unset, "OPENBLAS_NUM_THREADS": "2"}
+    bare = _fresh_python("-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))", environ=preset)
+    out, state = _run_entry(entry, tmp_path / "preset.json", *argv, environ=preset)
+    assert out.returncode == 0, out.stderr
+    assert (state["numpy"], state["threads"], state["openblas"]) == (True, int(bare.stdout), "2")
+
+
 LIBRARY_PROBE = """\
-import contextlib, gc, io, json, sys
+import contextlib, gc, io, json, os, sys
+environ = dict(os.environ)
 import hamsym
-states = [["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count()]]
+states = [["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count(), os.environ == environ]]
 import hamsym.cli
-states.append(["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count()])
+states.append(["sympy" in sys.modules, gc.isenabled(), gc.get_freeze_count(), os.environ == environ])
 with contextlib.redirect_stdout(io.StringIO()):
     code = hamsym.cli.main(["identity-check", "--n", "1", "--count", "2"])
-states.append([code, gc.isenabled(), gc.get_freeze_count()])
+    code += hamsym.cli.main(["simulate", "--example", "oscillator", "--state", "1,0", "--t1", "0.1"])
+states.append([code, gc.isenabled(), gc.get_freeze_count(), os.environ == environ and "numpy" in sys.modules])
 print(json.dumps(states))
 """
 
 
 def test_library_imports_leave_the_collector_alone():
     # `import hamsym` loads no sympy; `import hamsym.cli` and in-process
-    # `main` neither pause the collector nor freeze anything
-    out = _fresh_python("-c", LIBRARY_PROBE)
+    # `main`, simulate's numpy import included, neither pause the collector,
+    # freeze anything nor set an environment variable: the caller owns its
+    # process
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = _fresh_python("-c", LIBRARY_PROBE, environ=environ)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [[False, True, 0], [True, True, 0], [0, True, 0]]
+    assert json.loads(out.stdout) == [[False, True, 0, True], [True, True, 0, True], [0, True, 0, True]]
     from hamsym import EXAMPLES, load_example
 
     assert EXAMPLES is hamsym.registry.EXAMPLES

@@ -14,6 +14,7 @@ from hamsym.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SingularityAbort,
+    Trajectory,
     _loop,
     _rhs_function,
     _values_along,
@@ -141,6 +142,10 @@ class TestIntegrate:
     def test_wrong_state_length(self, example1):
         with pytest.raises(IntegrationError):
             integrate(example1.system, [1.0], IntegratorConfig())
+
+    def test_trajectory_pairs_each_time_with_a_state(self):
+        with pytest.raises(IntegrationError, match="lengths differ"):
+            Trajectory(times=np.zeros(3), states=np.zeros((2, 2)))
 
     def test_singularity_abort_reports_time(self):
         # the momentum equation has a domain boundary at q = 0, which this
@@ -303,6 +308,8 @@ class TestDrift:
         trajectory = integrate(oscillator.system, [1.0, 0.0], config)
         report = drift(oscillator.system, [FirstIntegral("one", sp.Integer(1))], trajectory)
         assert report.entry("one").max_abs == 0.0
+        with pytest.raises(KeyError):
+            report.entry("two")
 
     def test_example1_triple(self, example1):
         integrals = [

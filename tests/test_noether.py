@@ -12,6 +12,7 @@ from sympy.polys.rings import PolyElement
 import hamsym.noether
 from hamsym.expressions import (
     TIME,
+    SamplingError,
     Verdict,
     algebra_lift,
     coord,
@@ -560,6 +561,15 @@ class TestFunctionalIndependence:
     def test_single_integral(self, example1):
         I = FirstIntegral("H", example1.system.hamiltonian)
         assert functional_independence([I], example1.system, seed=SEED) == 1
+
+    def test_no_integrals(self):
+        with pytest.raises(HamsymError, match="at least one integral"):
+            functional_independence([], FREE_PARTICLE)
+
+    def test_no_admissible_point(self):
+        # the integral is real at no point, so every draw is rejected
+        with pytest.raises(SamplingError, match="non-singular point"):
+            functional_independence([FirstIntegral("J", sp.sqrt(-(q**2) - 1))], FREE_PARTICLE)
 
 
 class TestConsistencyProperties:
