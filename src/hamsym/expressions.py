@@ -46,6 +46,7 @@ __all__ = [
     "jet_field",
     "jet_algebra",
     "algebra_lift",
+    "defined_nowhere",
     "to_expr",
     "substitute_jets",
     "partial_diff",
@@ -258,6 +259,11 @@ def _normal_form(e: FracElement) -> tuple[PolyElement, PolyElement]:
     if not relations:
         return e.numer, e.denom
     return e.numer.rem(relations), e.denom.rem(relations)
+
+
+def defined_nowhere(e) -> bool:
+    """Whether e is a jet field element whose denominator reduces to 0 by its radical relations."""
+    return isinstance(e, FracElement) and not _normal_form(e)[1]
 
 
 def _proves_zero(e: PolyElement | FracElement) -> bool:

@@ -24,6 +24,7 @@ from .expressions import (
     algebra_lift,
     coord,
     coord_deriv,
+    defined_nowhere,
     derive_seed,
     draw_samples,
     is_zero,
@@ -135,8 +136,12 @@ def on_shell(sys: HamiltonianSystem, e):
 
 def _lifted(sys: HamiltonianSystem, exprs):
     """(lift, exprs): `exprs` in the exact jet algebra of sys that holds them
-    all, and the map of an Expr into it; else (sympify, exprs), for Expr."""
+    all, and the map of an Expr into it; else (sympify, exprs), for Expr.
+    Refuses an expression that its algebra finds undefined everywhere."""
     found = jet_algebra(sys.n, exprs, tuple(map(parameter, sys.parameters)))
+    for e, lifted in zip(exprs, () if found is None else found[1]):
+        if defined_nowhere(lifted):
+            raise HamsymError(f"{format_expression(e)} is undefined everywhere: its denominator is 0 under its radicals")
     return (sp.sympify, list(exprs)) if found is None else found
 
 
@@ -201,58 +206,42 @@ def check_invariance(
     return _zero(sys, on_shell(sys, _residual(sys, X)), f"theorem1:{X.name}", seed, tol)
 
 
-def _jet_linear_coefficients(sys: HamiltonianSystem, residual):
-    """Write residual = A + B_i*dq_i + C_i*dp_i with A, B, C jet-free, as
-    the residual of a point symmetry always can be (see _residual)."""
-    lift = algebra_lift(residual)
-    b, c = [], []
-    rest = residual
-    for i in range(1, sys.n + 1):
-        bi = simplify(partial_diff(residual, coord_deriv(i)))
-        ci = simplify(partial_diff(residual, momentum_deriv(i)))
-        b.append(bi)
-        c.append(ci)
-        rest = rest - bi * lift(coord_deriv(i)) - ci * lift(momentum_deriv(i))
-    return simplify(rest), b, c
-
-
 def find_divergence_term(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> tuple[str, sp.Expr | None]:
     """Try to write the off-shell residual as D(V) for some V(t, q, p).
 
-    Returns (status, V) with status one of 'zero' (residual already
-    vanishes, V = 0), 'synthesized', 'no-v-exists' (integrability fails
-    definitively) or 'not-synthesizable' (non-polynomial coefficients;
-    a caller-supplied V may still verify); V is None for the last two.
+    The residual is A + B_i*dq_i + C_i*dp_i with A, B, C jet-free, so its
+    gradient (A, B, C) is read off it. Returns (status, V) with status one
+    of 'zero' (V = 0), 'synthesized' (every integrability condition proven
+    zero and the gradient polynomial, so grad V = (A, B, C) exactly),
+    'no-v-exists' (a condition is nonzero) or 'not-synthesizable' (anything
+    else; a caller-supplied V may still verify); V is None for the last two.
     """
     residual = _residual(sys, X)
     if residual == 0:
         return "zero", sp.Integer(0)
-    a, b, c = _jet_linear_coefficients(sys, residual)
+    jets = [maker(i) for maker in (coord_deriv, momentum_deriv) for i in range(1, sys.n + 1)]
+    a = substitute_jets(residual, dict.fromkeys(jets, 0))
+    gradient = [simplify(g) for g in (a, *(partial_diff(residual, jet) for jet in jets))]
     variables = state_symbols(sys.n)
-    gradient = [a, *b, *c]
+    proven = True
     for i in range(len(variables)):
         for j in range(i + 1, len(variables)):
             mixed = partial_diff(gradient[i], variables[j]) - partial_diff(gradient[j], variables[i])
             verdict = _zero(sys, mixed, f"integrability:{X.name}:{i}:{j}", seed, tol)
             if verdict.status == Verdict.NONZERO:
                 return "no-v-exists", None
-            if verdict.status == Verdict.INCONCLUSIVE:
-                return "not-synthesizable", None
+            proven = proven and verdict.status == Verdict.PROVEN
     gradient = [to_expr(g) for g in gradient]
-    if not all(g.is_polynomial(*variables) for g in gradient):
+    if not (proven and all(g.is_polynomial(*variables) for g in gradient)):
         return "not-synthesizable", None
     # the homotopy V = int_0^1 z.g(s*z) ds: a degree-d monomial of g integrates to 1/(d + 1)
     v = sp.Integer(0)
     for z, g in zip(variables, gradient):
         for degrees, coefficient in sp.Poly(g, *variables).terms():
             v += coefficient * z * sp.Mul(*(x**d for x, d in zip(variables, degrees))) / (sum(degrees) + 1)
-    v = simplify(v)
-    recheck = residual - total_derivative(algebra_lift(residual)(v))
-    if not _zero(sys, recheck, f"divsynth:{X.name}", seed, tol).is_zero:
-        return "not-synthesizable", None
-    return "synthesized", v
+    return "synthesized", simplify(v)
 
 
 def check_divergence_invariance(

@@ -447,6 +447,13 @@ def parse_system_file(text: str) -> SystemDefinition:
             name = _require(entries, "name", path)
             if not isinstance(name, str):
                 raise SchemaError("name must be a string", f"{path}.name")
+            # a relation reads each symmetry name as a symbol beside the parameters
+            if name in params:
+                raise SchemaError(f"symmetry name {name!r} collides with a parameter", f"{path}.name")
+            try:
+                parameter(name)
+            except ValueError:
+                raise SchemaError(f"symmetry name {name!r} collides with a reserved token", f"{path}.name") from None
             xi = _expr(_require(entries, "xi", path), ctx, f"{path}.xi")
             eta_raw = _require(entries, "eta", path)
             zeta_raw = _require(entries, "zeta", path)

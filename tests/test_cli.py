@@ -191,6 +191,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--example", "example1", "q1 +")
         assert code == 2 and "error" in err
 
+    def test_undefined_everywhere(self, capsys):
+        # the denominator is u^2 - q1^2 - q2^2 with u = sqrt(q1^2 + q2^2): no
+        # point defines the expression, so nothing is proven about it
+        expression = "1/((sqrt(q1^2 + q2^2) + 1)*(sqrt(q1^2 + q2^2) - 1) - q1^2 - q2^2 + 1)"
+        code, out, err = run(capsys, "verify", "--example", "kepler2", expression, "--json")
+        assert (code, out) == (2, "")
+        assert "(sqrt(q1^2 + q2^2) - 1)*(sqrt(q1^2 + q2^2) + 1) + 1)^-1 is undefined everywhere" in err
+
 
 class TestSimulate:
     def test_example1_drift_and_relation(self, capsys):

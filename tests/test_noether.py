@@ -21,7 +21,9 @@ from hamsym.expressions import (
     jet_order,
     momentum,
     momentum_deriv,
+    partial_diff,
     simplify,
+    substitute_jets,
     to_expr,
     total_derivative,
 )
@@ -48,7 +50,7 @@ from hamsym.noether import (
     variational_derivative_q,
     verify_first_integral,
 )
-from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError, PointSymmetry
+from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError, PointSymmetry, Relation
 
 SEED = 42
 
@@ -56,6 +58,9 @@ q, p = coord(1), momentum(1)
 dq, dp = coord_deriv(1), momentum_deriv(1)
 
 FREE_PARTICLE = HamiltonianSystem(n=1, hamiltonian=momentum(1) ** 2 / 2)
+DRIVEN = HamiltonianSystem(n=1, hamiltonian=momentum(1) ** 2 / 2 + sp.cos(TIME))
+# the Galilean boost; its V is q1 on both systems above
+BOOST = PointSymmetry("B", sp.Integer(0), (TIME,), (sp.Integer(1),))
 
 
 class TestCanonicalEquations:
@@ -146,6 +151,37 @@ class TestDivergenceTerm:
     def test_nonpolynomial_defers_to_user(self, kepler3):
         status, term = find_divergence_term(kepler3.system, kepler3.symmetry("Y1"), seed=SEED)
         assert status == "not-synthesizable" and term is None
+
+    def test_every_synthesized_v_is_exact(self, example1):
+        # the homotopy runs only on a gradient whose integrability is proven,
+        # so residual - D(V) is proven zero off shell in every algebra
+        cases = [(example1.system, example1.symmetry("X3"), "field"), (FREE_PARTICLE, BOOST, "ring"), (DRIVEN, BOOST, "expr")]
+        for sys_, X, kind in cases:
+            assert _algebra_kind(sys_, X) == kind
+            status, v = find_divergence_term(sys_, X, seed=SEED)
+            assert status == "synthesized", kind
+            lift = hamsym.noether._algebra(sys_, X)[0]
+            remainder = hamsym.noether._residual(sys_, X) - total_derivative(lift(v))
+            assert is_zero(remainder).status == Verdict.PROVEN, kind
+
+    @pytest.mark.parametrize("sys_", [FREE_PARTICLE, DRIVEN], ids=["ring", "expr"])
+    def test_sampled_integrability_synthesizes_nothing(self, sys_):
+        # dB/dp1 = q1/10^12 samples as zero, but it is not proven zero
+        X = replace(BOOST, eta=(TIME + q**2 / (2 * 10**12),))
+        assert find_divergence_term(sys_, X, seed=SEED) == ("not-synthesizable", None)
+        assert build_report(sys_, X, seed=SEED).integral is None
+
+    def test_inconclusive_integrability_synthesizes_nothing(self):
+        # at K = 1 the (t, p) and (q, p) conditions are poles, so inconclusive
+        sys_ = HamiltonianSystem(n=1, hamiltonian=p**2 / 2, parameters={"K": sp.Integer(1)})
+        X = PointSymmetry("X", sp.Integer(0), (TIME * q**2 / (_K - 1),), (sp.Integer(0),))
+        assert find_divergence_term(sys_, X, seed=SEED) == ("not-synthesizable", None)
+
+    def test_a_nonzero_condition_after_an_inconclusive_one_decides(self):
+        # the (t, q) condition -1/(K - 1) is a pole at K = 1; the (t, p) one is -1
+        sys_ = HamiltonianSystem(n=1, hamiltonian=p**2 / 2 + q / (_K - 1), parameters={"K": sp.Integer(1)})
+        X = PointSymmetry("X", sp.Integer(0), (q,), (sp.Integer(1),))
+        assert find_divergence_term(sys_, X, seed=SEED) == ("no-v-exists", None)
 
     def test_supplied_v_verifies(self, example1, kepler3):
         verdict = check_divergence_invariance(
@@ -363,7 +399,8 @@ def test_exact_and_expr_on_shell_residuals_agree(request, name, monkeypatch):
 def test_residual_is_affine_in_the_jets(exact, request, monkeypatch):
     # the invariant that lets find_divergence_term read A, B and C off any
     # residual: zeta.dq + p.D(eta) - X(H) - H*D(xi) is A + B.dq + C.dp with
-    # A, B and C jet-free, in the ring, in the field and over Expr
+    # A (the residual at jets 0), B and C (its jet partials) jet-free, in the
+    # ring, in the field and over Expr
     defns = [request.getfixturevalue(name) for name in ("example1", "coulomb", "oscillator", "kepler2", "kepler3")]
     pairs = [(defn.system, X) for defn in defns for X in defn.symmetries]
     pairs += [random_pair(n, 3, Random(n)) for n in (1, 2, 3)]
@@ -374,12 +411,14 @@ def test_residual_is_affine_in_the_jets(exact, request, monkeypatch):
     assert kinds == ({"ring", "field"} if exact else {"expr"})
     for sys_, X in pairs:
         residual = hamsym.noether._residual(sys_, X)
-        a, b, c = hamsym.noether._jet_linear_coefficients(sys_, residual)
-        assert all(jet_order(x) == 0 for x in (a, *b, *c)), X.name
+        jets = [maker(i) for maker in (coord_deriv, momentum_deriv) for i in range(1, sys_.n + 1)]
+        a = substitute_jets(residual, dict.fromkeys(jets, 0))
+        slopes = [partial_diff(residual, jet) for jet in jets]
+        assert all(jet_order(x) == 0 for x in (a, *slopes)), X.name
         lift = algebra_lift(residual)
         rebuilt = a - residual
-        for i, (bi, ci) in enumerate(zip(b, c), start=1):
-            rebuilt += bi * lift(coord_deriv(i)) + ci * lift(momentum_deriv(i))
+        for jet, slope in zip(jets, slopes):
+            rebuilt += slope * lift(jet)
         assert simplify(to_expr(rebuilt)) == 0, X.name
     _clear_algebra_memos()
 
@@ -473,6 +512,21 @@ def test_library_inputs_follow_the_system_file_rule(call, match, example1, keple
     # file parser checks it, not decided with a stray symbol sampled
     with pytest.raises(HamsymError, match=match):
         call({"example1": example1, "kepler3": kepler3})
+
+
+def test_lifting_refuses_an_expression_undefined_everywhere(kepler3):
+    # (r + 1)*(r - 1) - r^2 + 1 is 0 under r^2 = q1^2 + q2^2 + q3^2, so the
+    # field's exact zero test would "prove" anything over it zero
+    sys_, r2 = kepler3.system, sum(coord(i) ** 2 for i in (1, 2, 3))
+    nowhere = 1 / ((sp.sqrt(r2) + 1) * (sp.sqrt(r2) - 1) - r2 + 1)
+    calls = [
+        lambda: verify_first_integral(sys_, nowhere),
+        lambda: check_invariance(sys_, replace(kepler3.symmetry("X0"), xi=nowhere)),
+        lambda: relation_check({"I": nowhere}, Relation("r", sp.Symbol("I", real=True), sp.Integer(0)), sys_),
+    ]
+    for call in calls:
+        with pytest.raises(HamsymError, match="is undefined everywhere"):
+            call()
 
 
 def test_every_public_call_taking_a_symmetry_checks_its_components(example1, kepler3):

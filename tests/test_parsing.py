@@ -348,6 +348,16 @@ class TestSystemFile:
                 "equals must be a rational constant",
             ),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\n[other]\n', "section #1", "unexpected section [other]"),
+            *(
+                (
+                    '[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { K = 1 }\n'
+                    f'[[symmetry]]\nname = "{name}"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n{relation}',
+                    "symmetry[0].name",
+                    f"symmetry name {name!r} collides with a {clash}",
+                )
+                for name, clash in (("K", "parameter"), ("t", "reserved token"))
+                for relation in ("", f'[[relation]]\nname = "r"\nexpr = "{name}"\n')
+            ),
         ],
         ids=[
             "unterminated-string",
@@ -365,6 +375,10 @@ class TestSystemFile:
             "non-string-name",
             "equals-not-rational",
             "unexpected-section",
+            "name-is-parameter",
+            "name-is-parameter-in-relation",
+            "name-is-t",
+            "name-is-t-in-relation",
         ],
     )
     def test_schema_errors(self, text, path, message):
