@@ -116,20 +116,26 @@ class SamplingError(ExpressionError):
     """All candidate sample points were rejected as singular."""
 
 
+# The symbol makers and symbol_info are memoized: sympy returns the same
+# Symbol for the same name anyway, and building one costs a few microseconds.
+@lru_cache(maxsize=None)
 def coord(i: int) -> sp.Symbol:
     return sp.Symbol(f"q{i}", real=True)
 
 
+@lru_cache(maxsize=None)
 def momentum(i: int) -> sp.Symbol:
     return sp.Symbol(f"p{i}", real=True)
 
 
+@lru_cache(maxsize=None)
 def coord_deriv(i: int, order: int = 1) -> sp.Symbol:
     if not 1 <= order <= MAX_JET_ORDER:
         raise JetOrderError(f"derivative order {order} out of range")
     return sp.Symbol("d" * order + f"q{i}", real=True)
 
 
+@lru_cache(maxsize=None)
 def momentum_deriv(i: int, order: int = 1) -> sp.Symbol:
     if not 1 <= order <= MAX_JET_ORDER:
         raise JetOrderError(f"derivative order {order} out of range")
@@ -142,6 +148,7 @@ def parameter(name: str) -> sp.Symbol:
     return sp.Symbol(name, real=True)
 
 
+@lru_cache(maxsize=None)
 def symbol_info(s: sp.Symbol) -> tuple[str, int, int] | None:
     """Classify a symbol: ('t', 0, 0), ('q'|'p', index, order), or None for a parameter."""
     name = s.name
@@ -154,8 +161,12 @@ def symbol_info(s: sp.Symbol) -> tuple[str, int, int] | None:
 
 
 def jet_order(e: sp.Expr | PolyElement | FracElement) -> int:
+    if isinstance(e, (PolyElement, FracElement)):
+        symbols = [s for s, d in zip(_algebra_of(e).symbols, _degrees(e)) if d > 0 and s.is_Symbol]
+    else:
+        symbols = sp.sympify(e).free_symbols
     order = 0
-    for s in _jet_view(e)[1]:
+    for s in symbols:
         info = symbol_info(s)
         if info and info[0] in "qp":
             order = max(order, info[2])
@@ -208,6 +219,56 @@ def _roots(field: FracField) -> tuple[tuple[int, PolyElement, int, PolyElement],
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _Generators:
+    """The generators of a jet ring or field, looked up by Symbol: `index`
+    maps each generator to its index. `rates` holds (i, x_i, D(x_i)) for t
+    and each jet symbol x_i. D(t) is one; the D(x_i) of a jet is the
+    generator of its total derivative, a ring element also in a field, or
+    None when that is no generator (order 2)."""
+
+    algebra: PolyRing | FracField
+    index: dict
+    rates: tuple[tuple[int, sp.Symbol, PolyElement | None], ...]
+
+    def lift(self, e):
+        """e in the algebra: a generator Symbol by lookup, anything else by from_expr."""
+        i = self.index.get(e) if isinstance(e, sp.Symbol) else None
+        return self.algebra.from_expr(e) if i is None else self.algebra.gens[i]
+
+
+def _generators(algebra: PolyRing | FracField) -> _Generators:
+    """The table of a jet ring or field, built once per algebra object: an
+    evicted jet_ring or jet_field comes back as a new object equal to the
+    old one, whose generators are other objects."""
+    return _generator_table(id(algebra), algebra)
+
+
+@lru_cache(maxsize=32)
+def _generator_table(_: int, algebra: PolyRing | FracField) -> _Generators:
+    ring = algebra if isinstance(algebra, PolyRing) else algebra.ring
+    index = {s: i for i, s in enumerate(algebra.symbols)}
+    rates = []
+    for i, s in enumerate(algebra.symbols):
+        info = symbol_info(s) if s.is_Symbol else None
+        if info is None:
+            continue
+        kind, k, order = info
+        if kind == "t":
+            rate = ring.one
+        elif order < MAX_JET_ORDER:
+            j = index.get((coord_deriv if kind == "q" else momentum_deriv)(k, order + 1))
+            rate = None if j is None else ring.gens[j]
+        else:
+            rate = None
+        rates.append((i, s, rate))
+    return _Generators(algebra, index, tuple(rates))
+
+
+def _algebra_of(e: PolyElement | FracElement) -> PolyRing | FracField:
+    return e.ring if isinstance(e, PolyElement) else e.field
+
+
 def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, ...] = ()):
     """(lift, the lifted exprs) in the first exact algebra of dimension n and
     `parameters` that holds every expression of `exprs`, or None when none
@@ -227,8 +288,9 @@ def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, .
     ring = jet_ring(n, parameters)
     try:
         if not denominators:
+            lift = _generators(ring).lift
             try:
-                return ring.from_expr, [ring.from_expr(e) for e in exprs]
+                return lift, [lift(e) for e in exprs]
             except ValueError:
                 pass  # a rational function
         for b in denominators:
@@ -236,8 +298,8 @@ def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, .
             if jet_order(ring.from_expr(b)) > 0 or not b.free_symbols.isdisjoint(parameters):
                 return None
         radicals = sorted(((b, reduce(math.lcm, qs)) for b, qs in denominators.items()), key=sp.default_sort_key)
-        field = jet_field(n, tuple(radicals), parameters)
-        return field.from_expr, [field.from_expr(e) for e in exprs]
+        lift = _generators(jet_field(n, tuple(radicals), parameters)).lift
+        return lift, [lift(e) for e in exprs]
     except ValueError:
         return None
 
@@ -245,10 +307,8 @@ def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, .
 def algebra_lift(e):
     """The map of an Expr into the algebra of e: its jet ring, its jet
     field, or Expr."""
-    if isinstance(e, PolyElement):
-        return e.ring.from_expr
-    if isinstance(e, FracElement):
-        return e.field.from_expr
+    if isinstance(e, (PolyElement, FracElement)):
+        return _generators(_algebra_of(e)).lift
     return sp.sympify
 
 
@@ -293,10 +353,11 @@ def _compose(P: PolyElement, values: Mapping) -> tuple[PolyElement, PolyElement]
     """(A, B) with A/B = P at `values`. P's terms are grouped by their powers
     of the substituted generators and put over one common denominator B."""
     ring = P.ring
+    index = _generators(ring).index
     degrees = P.degrees()
     subs = []
     for s, v in values.items():
-        i = ring.symbols.index(s)
+        i = index[s]
         if degrees[i] > 0:
             numer, denom = (v.numer, v.denom) if isinstance(v, FracElement) else (v, ring.one)
             subs.append((i, numer, denom, degrees[i]))
@@ -338,27 +399,21 @@ def substitute_jets(e, values: Mapping):
     return sp.sympify(e).xreplace(values)
 
 
-def _jet_view(e):
-    """(e, the symbols e depends on, the map of an Expr into e's algebra)
-    for an Expr or an element of a jet ring or field. A field element
-    depends on the symbols of each of its radicals' bases, and its radical
-    generators are left out."""
-    lift = algebra_lift(e)
+def _degrees(e: PolyElement | FracElement) -> list[int]:
+    """e's degree in each generator of its ring or field. A field element
+    depends on the symbols of each of its radicals' bases as well."""
     if isinstance(e, PolyElement):
-        return e, [s for s, d in zip(e.ring.symbols, e.degrees()) if d > 0], lift
-    if isinstance(e, FracElement):
-        degrees = [max(dn, dd) for dn, dd in zip(e.numer.degrees(), e.denom.degrees())]
-        for i, b, _, _ in _roots(e.field):
-            if degrees[i] > 0:
-                degrees = [max(d, db) for d, db in zip(degrees, b.degrees())]
-        return e, [s for s, d in zip(e.field.symbols, degrees) if d > 0 and s.is_Symbol], lift
-    e = sp.sympify(e)
-    return e, e.free_symbols, lift
+        return e.degrees()
+    degrees = [max(dn, dd) for dn, dd in zip(e.numer.degrees(), e.denom.degrees())]
+    for i, b, _, _ in _roots(e.field):
+        if degrees[i] > 0:
+            degrees = [max(d, db) for d, db in zip(degrees, b.degrees())]
+    return degrees
 
 
 def _field_derivative(e: FracElement, weights: Sequence[tuple[int, PolyElement]]) -> FracElement:
     """The derivation with x_i -> w for each (i, w) of `weights`, applied to
-    e. `weights` covers every symbol that e depends on (see _jet_view). A
+    e. `weights` covers every symbol that e depends on (see _degrees). A
     radical u = b^(1/m) follows the chain rule u' = b'/(m*u^(m-1)),
     which is u*b'/(m*b) under u^m = b; its denominator is a monomial, and so
     then is every denominator that derivatives of monomial denominators
@@ -400,11 +455,11 @@ def partial_diff(e: sp.Expr | PolyElement | FracElement, s: sp.Symbol) -> sp.Exp
     du/ds = u*(db/ds)/(m*b) of each radical u = b^(1/m), in the form
     (db/ds)/(m*u^(m-1)) (see _field_derivative); an Expr by sympy's diff."""
     if isinstance(e, PolyElement):
-        symbols = e.ring.symbols
-        return e.diff(symbols.index(s)) if s in symbols else e.ring.zero
+        i = _generators(e.ring).index.get(s)
+        return e.ring.zero if i is None else e.diff(i)
     if isinstance(e, FracElement):
-        symbols = e.field.symbols
-        return _field_derivative(e, [(symbols.index(s), e.field.ring.one)] if s in symbols else [])
+        i = _generators(e.field).index.get(s)
+        return _field_derivative(e, [] if i is None else [(i, e.field.ring.one)])
     return sp.diff(sp.sympify(e), s)
 
 
@@ -413,27 +468,38 @@ def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyEl
 
     D(e) = de/dt + sum_i dqi*de/dqi + dpi*de/dpi + ddqi*de/ddqi + ddpi*de/ddpi.
     Rejects input already containing order-2 jet symbols, since the result
-    would need order-3 symbols.
+    would need order-3 symbols. An element of a jet ring or field sums
+    D(x_i)*de/dx_i over its generators x_i of positive degree, by index.
     """
-    e, symbols, lift = _jet_view(e)
+    if isinstance(e, (PolyElement, FracElement)):
+        degrees = _degrees(e)
+        weights = []  # (i, D(x_i)) for each generator x_i of e with a rate
+        for i, s, rate in _generators(_algebra_of(e)).rates:
+            if degrees[i] > 0:
+                if rate is None:
+                    raise _order_error(s)
+                weights.append((i, rate))
+        if isinstance(e, FracElement):
+            return _field_derivative(e, weights)
+        return sum((e.diff(i) * rate for i, rate in weights), e.ring.zero)
+    e = sp.sympify(e)
     rates = {}  # D(s) for each jet symbol s of e; D(t) = 1
-    for s in symbols:
+    for s in e.free_symbols:
         info = symbol_info(s)
         if info is None or info[0] == "t":
             continue
         kind, index, order = info
         if order >= MAX_JET_ORDER:
-            raise JetOrderError(f"total derivative of order-{order} symbol {s} exceeds jet order {MAX_JET_ORDER}")
-        maker = coord_deriv if kind == "q" else momentum_deriv
-        rates[s] = lift(maker(index, order + 1))
-    if isinstance(e, FracElement):
-        field = e.field
-        weights = [(field.symbols.index(s), rate.numer) for s, rate in rates.items()]
-        return _field_derivative(e, [(field.symbols.index(TIME), field.ring.one), *weights])
+            raise _order_error(s)
+        rates[s] = (coord_deriv if kind == "q" else momentum_deriv)(index, order + 1)
     out = partial_diff(e, TIME)
     for s, rate in rates.items():
         out += rate * partial_diff(e, s)
     return out
+
+
+def _order_error(s: sp.Symbol) -> JetOrderError:
+    return JetOrderError(f"total derivative of order-{symbol_info(s)[2]} symbol {s} exceeds jet order {MAX_JET_ORDER}")
 
 
 def simplify(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:

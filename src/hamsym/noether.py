@@ -444,7 +444,11 @@ def relation_expression(
     integrals: Mapping[str, sp.Expr], relation: Relation, sys: HamiltonianSystem
 ) -> sp.Expr | None:
     """The relation's expression with each named integral substituted, or
-    None when it names an integral missing from `integrals`."""
+    None when it names an integral missing from `integrals`. Refuses an
+    integral named like a parameter of sys, which would shadow it."""
+    shadowed = sorted(set(integrals) & set(sys.parameters))
+    if shadowed:
+        raise HamsymError(f"integral name {shadowed[0]!r} is a parameter of the system")
     subs = {}
     for s in relation.expression.free_symbols:
         if s.name in integrals:

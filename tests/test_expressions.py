@@ -17,16 +17,19 @@ from hamsym.expressions import (
     SingularEvaluationError,
     UnboundSymbolError,
     Verdict,
+    algebra_lift,
     coord,
     coord_deriv,
     derive_seed,
     evaluate,
     is_zero,
     jet_algebra,
+    jet_field,
     jet_order,
     jet_ring,
     momentum,
     momentum_deriv,
+    parameter,
     partial_diff,
     random_polynomial,
     sample_point,
@@ -193,6 +196,51 @@ class TestJetField:
         assert isinstance(jet_algebra(1, [p**2 / k + 1 / sp.sqrt(q**2 + 1)], (k,))[1][0], FracElement)
         assert jet_algebra(1, [sp.sqrt(k * q**2 + 1)], (k,)) is None  # u^2 = b would keep k
         assert jet_algebra(1, [sp.Float(0.5) * q]) is None
+
+    def test_a_base_whose_root_is_no_radical_has_no_field(self):
+        # sympy writes (q^2)^(1/2) as Abs(q); only an unevaluated input keeps
+        # the power, and its field would have Abs(q) as a free generator
+        with pytest.raises(ValueError, match="does not stay a radical"):
+            jet_field(1, ((q**2, 2),))
+        assert jet_algebra(1, [sp.Pow(q**2, sp.Rational(1, 2), evaluate=False)]) is None
+
+
+class TestGeneratorTable:
+    """Generators are looked up by Symbol: a generator lifts to the very
+    generator, and the derivatives by generator index agree with sympy's."""
+
+    def _check(self, algebra, exprs):
+        lift = algebra_lift(algebra.one)
+        for s, gen in zip(algebra.symbols, algebra.gens):
+            if s.is_Symbol:
+                assert lift(s) is gen
+        with pytest.raises(ValueError):
+            lift(sp.Symbol("q1"))  # not hamsym's real q1
+        symbols = [coord(1), coord(2), coord(3), momentum_deriv(3), coord_deriv(1, 2), TIME]
+        for e in exprs:
+            element = lift(e)
+            # equal in the algebra, a field's radical relation applied
+            for s in symbols:
+                assert is_zero(partial_diff(element, s) - lift(sp.diff(e, s))).status == Verdict.PROVEN
+            assert is_zero(total_derivative(element) - lift(total_derivative(e))).status == Verdict.PROVEN
+
+    def test_jet_ring(self):
+        ring, rng = jet_ring(3), Random(23)
+        symbols = [s for s in ring.symbols if jet_order(s) < 2]
+        self._check(ring, [random_polynomial(symbols, 3, rng) for _ in range(4)])
+
+    def test_kepler3_field(self, kepler3):
+        sys_, rng = kepler3.system, Random(29)
+        _, (H,) = jet_algebra(3, [sys_.hamiltonian], tuple(map(parameter, sys_.parameters)))
+        field = H.field
+        r = field.symbols[0]  # the one radical, |q|
+        assert r.is_Pow and parameter("K") in field.symbols
+        symbols = [s for s in field.symbols[1:] if jet_order(s) < 2]
+        elements = [
+            random_polynomial(symbols, 2, rng) + random_polynomial(symbols, 2, rng) * r / (r**2 + 1)
+            for _ in range(3)
+        ]
+        self._check(field, elements)
 
 
 class TestSimplify:

@@ -529,6 +529,21 @@ def test_lifting_refuses_an_expression_undefined_everywhere(kepler3):
             call()
 
 
+def test_a_residual_undefined_everywhere_keeps_its_free_form():
+    # u = |q1 + q2|: H is defined where q1 + q2 < 0 and xi where q1 + q2 > 0,
+    # so the residual's denominator is 0 under u^2 = (q1 + q2)^2. to_expr
+    # then keeps the free form instead of dividing by 0, and no admissible
+    # point exists for the verdict
+    u = sp.sqrt(sp.expand((coord(1) + coord(2)) ** 2))
+    H = (momentum(1) ** 2 + momentum(2) ** 2) / 2 + 1 / (u - coord(1) - coord(2))
+    sys_ = HamiltonianSystem(n=2, hamiltonian=H)
+    zero = (sp.Integer(0), sp.Integer(0))
+    X = PointSymmetry("X", 1 / (u + coord(1) + coord(2)), zero, zero)
+    residual = invariance_residual(sys_, X)
+    assert residual.has(u) and not residual.has(sp.zoo, sp.nan)
+    assert check_invariance(sys_, X, seed=SEED).status == Verdict.INCONCLUSIVE
+
+
 def test_every_public_call_taking_a_symmetry_checks_its_components(example1, kepler3):
     # a symmetry is applied to a system only after its component count is
     # checked against the system's dimension; none zips too few silently
@@ -600,6 +615,16 @@ class TestRelations:
     def test_unknown_integral_name(self, example1):
         with pytest.raises(Exception):
             relation_check({}, example1.relations[0], example1.system, seed=SEED)
+
+    def test_integral_named_like_a_parameter_is_refused(self, kepler3):
+        # an integral named K would shadow kepler3's parameter K, and the
+        # relation K = 1 would be decided on the integral instead
+        I = first_integral(kepler3.system, kepler3.symmetry("X0"), seed=SEED).expression
+        K = sp.Symbol("K", real=True)
+        with pytest.raises(HamsymError, match="integral name 'K' is a parameter"):
+            relation_check({"K": I}, Relation("r", K, sp.Integer(1)), kepler3.system, seed=SEED)
+        verdict = relation_check({"E": I}, Relation("r", K, sp.Integer(1)), kepler3.system, seed=SEED)
+        assert verdict.status == Verdict.PROVEN
 
 
 class TestFunctionalIndependence:

@@ -329,6 +329,12 @@ class TestSystemFile:
             ('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { K = 1\n', "system.parameters", "unterminated table"),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\nsingularities = [q1]\n', "system.singularities", "must be quoted strings"),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { 1 }\n', "system.parameters", "bad table entry"),
+            # a bracket nests: the whole inner table is one entry's value
+            (
+                '[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { K = 1, M = { a = 1, b = 2 } }\n',
+                "system.parameters.M",
+                "expected integer or rational, found '{ a = 1, b = 2 }'",
+            ),
             ('[system]\nn = x\nhamiltonian = "p1^2"\n', "system.n", "expected integer or rational"),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\nwhat\n', "file", "cannot parse line 4"),
             ('n = 1\n[system]\nhamiltonian = "p1^2"\n', "file", "key outside any section at line 1"),
@@ -365,6 +371,7 @@ class TestSystemFile:
             "unterminated-table",
             "unquoted-list-item",
             "bad-table-entry",
+            "nested-table",
             "not-rational",
             "unparsable-line",
             "key-outside-section",
