@@ -162,15 +162,8 @@ def symbol_info(s: sp.Symbol) -> tuple[str, int, int] | None:
 
 def jet_order(e: sp.Expr | PolyElement | FracElement) -> int:
     if isinstance(e, (PolyElement, FracElement)):
-        symbols = [s for s, d in zip(_algebra_of(e).symbols, _degrees(e)) if d > 0 and s.is_Symbol]
-    else:
-        symbols = sp.sympify(e).free_symbols
-    order = 0
-    for s in symbols:
-        info = symbol_info(s)
-        if info and info[0] in "qp":
-            order = max(order, info[2])
-    return order
+        return max((o for o, d in zip(_generators(e).orders, _degrees(e)) if d > 0), default=0)
+    return max((info[2] for s in sp.sympify(e).free_symbols if (info := symbol_info(s))), default=0)
 
 
 def state_symbols(n: int) -> tuple[sp.Symbol, ...]:
@@ -206,30 +199,21 @@ def jet_field(
     return FracField((*roots, *jet_ring(n, parameters).symbols), QQ)
 
 
-@lru_cache(maxsize=16)
-def _roots(field: FracField) -> tuple[tuple[int, PolyElement, int, PolyElement], ...]:
-    """(generator index, base b, m, relation u^m - b) of each radical
-    generator u = b^(1/m) of a jet field."""
-    ring = field.ring
-    out = []
-    for i, s in enumerate(field.symbols):
-        if s.is_Pow:
-            b = ring.from_expr(s.base)
-            out.append((i, b, s.exp.q, ring.gens[i] ** s.exp.q - b))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class _Generators:
-    """The generators of a jet ring or field, looked up by Symbol: `index`
-    maps each generator to its index. `rates` holds (i, x_i, D(x_i)) for t
-    and each jet symbol x_i. D(t) is one; the D(x_i) of a jet is the
-    generator of its total derivative, a ring element also in a field, or
-    None when that is no generator (order 2)."""
+    """The one record of the generators of a jet ring or field. `index`
+    maps each generator to its index, and `orders` holds the jet order of
+    each (0 for t, q, p, parameters and radicals). `rates` holds
+    (i, x_i, D(x_i)) for t and each jet symbol x_i. D(t) is one; the D(x_i)
+    of a jet is the generator of its total derivative, a ring element also
+    in a field, or None when that is no generator (order 2). `roots` holds
+    (i, b, m, u^m - b) for each radical generator u = b^(1/m)."""
 
     algebra: PolyRing | FracField
     index: dict
+    orders: tuple[int, ...]
     rates: tuple[tuple[int, sp.Symbol, PolyElement | None], ...]
+    roots: tuple[tuple[int, PolyElement, int, PolyElement], ...]
 
     def lift(self, e):
         """e in the algebra: a generator Symbol by lookup, anything else by from_expr."""
@@ -237,20 +221,26 @@ class _Generators:
         return self.algebra.from_expr(e) if i is None else self.algebra.gens[i]
 
 
-def _generators(algebra: PolyRing | FracField) -> _Generators:
-    """The table of a jet ring or field, built once per algebra object: an
-    evicted jet_ring or jet_field comes back as a new object equal to the
-    old one, whose generators are other objects."""
-    return _generator_table(id(algebra), algebra)
+def _generators(x) -> _Generators:
+    """The table of a jet ring or field x, or of x's algebra, built once per
+    algebra object: an evicted jet_ring or jet_field comes back as a new
+    object equal to the old one, whose generators are other objects."""
+    if isinstance(x, (PolyElement, FracElement)):
+        x = x.ring if isinstance(x, PolyElement) else x.field
+    return _generator_table(id(x), x)
 
 
 @lru_cache(maxsize=32)
 def _generator_table(_: int, algebra: PolyRing | FracField) -> _Generators:
     ring = algebra if isinstance(algebra, PolyRing) else algebra.ring
     index = {s: i for i, s in enumerate(algebra.symbols)}
-    rates = []
+    orders, rates, roots = [], [], []
     for i, s in enumerate(algebra.symbols):
+        if s.is_Pow:  # a radical u = b^(1/m)
+            b = ring.from_expr(s.base)
+            roots.append((i, b, s.exp.q, ring.gens[i] ** s.exp.q - b))
         info = symbol_info(s) if s.is_Symbol else None
+        orders.append(info[2] if info else 0)
         if info is None:
             continue
         kind, k, order = info
@@ -262,11 +252,7 @@ def _generator_table(_: int, algebra: PolyRing | FracField) -> _Generators:
         else:
             rate = None
         rates.append((i, s, rate))
-    return _Generators(algebra, index, tuple(rates))
-
-
-def _algebra_of(e: PolyElement | FracElement) -> PolyRing | FracField:
-    return e.ring if isinstance(e, PolyElement) else e.field
+    return _Generators(algebra, index, tuple(orders), tuple(rates), tuple(roots))
 
 
 def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, ...] = ()):
@@ -308,14 +294,14 @@ def algebra_lift(e):
     """The map of an Expr into the algebra of e: its jet ring, its jet
     field, or Expr."""
     if isinstance(e, (PolyElement, FracElement)):
-        return _generators(_algebra_of(e)).lift
+        return _generators(e).lift
     return sp.sympify
 
 
 def _normal_form(e: FracElement) -> tuple[PolyElement, PolyElement]:
     """The numerator and the denominator of e, each reduced by the relations
     u^m - b of e's radicals (of degree below m in each u)."""
-    relations = [relation for *_, relation in _roots(e.field)]
+    relations = [relation for *_, relation in _generators(e).roots]
     if not relations:
         return e.numer, e.denom
     return e.numer.rem(relations), e.denom.rem(relations)
@@ -405,7 +391,7 @@ def _degrees(e: PolyElement | FracElement) -> list[int]:
     if isinstance(e, PolyElement):
         return e.degrees()
     degrees = [max(dn, dd) for dn, dd in zip(e.numer.degrees(), e.denom.degrees())]
-    for i, b, _, _ in _roots(e.field):
+    for i, b, _, _ in _generators(e).roots:
         if degrees[i] > 0:
             degrees = [max(d, db) for d, db in zip(degrees, b.degrees())]
     return degrees
@@ -430,7 +416,7 @@ def _field_derivative(e: FracElement, weights: Sequence[tuple[int, PolyElement]]
                 out += P.diff(i) * w
         return out
 
-    roots = [(i, b, m) for i, b, m, _ in _roots(field) if max(nd[i], dd[i]) > 0]
+    roots = [(i, b, m) for i, b, m, _ in _generators(field).roots if max(nd[i], dd[i]) > 0]
     scale = ring.one
     for i, _, m in roots:
         scale *= m * ring.gens[i] ** (m - 1)
@@ -454,12 +440,11 @@ def partial_diff(e: sp.Expr | PolyElement | FracElement, s: sp.Symbol) -> sp.Exp
     """de/ds, in the algebra of e; in a jet field through the chain rule
     du/ds = u*(db/ds)/(m*b) of each radical u = b^(1/m), in the form
     (db/ds)/(m*u^(m-1)) (see _field_derivative); an Expr by sympy's diff."""
-    if isinstance(e, PolyElement):
-        i = _generators(e.ring).index.get(s)
+    if isinstance(e, (PolyElement, FracElement)):
+        i = _generators(e).index.get(s)
+        if isinstance(e, FracElement):
+            return _field_derivative(e, [] if i is None else [(i, e.field.ring.one)])
         return e.ring.zero if i is None else e.diff(i)
-    if isinstance(e, FracElement):
-        i = _generators(e.field).index.get(s)
-        return _field_derivative(e, [] if i is None else [(i, e.field.ring.one)])
     return sp.diff(sp.sympify(e), s)
 
 
@@ -474,7 +459,7 @@ def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyEl
     if isinstance(e, (PolyElement, FracElement)):
         degrees = _degrees(e)
         weights = []  # (i, D(x_i)) for each generator x_i of e with a rate
-        for i, s, rate in _generators(_algebra_of(e)).rates:
+        for i, s, rate in _generators(e).rates:
             if degrees[i] > 0:
                 if rate is None:
                     raise _order_error(s)
@@ -499,7 +484,7 @@ def total_derivative(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyEl
 
 
 def _order_error(s: sp.Symbol) -> JetOrderError:
-    return JetOrderError(f"total derivative of order-{symbol_info(s)[2]} symbol {s} exceeds jet order {MAX_JET_ORDER}")
+    return JetOrderError(f"total derivative of order-{MAX_JET_ORDER} symbol {s} exceeds jet order {MAX_JET_ORDER}")
 
 
 def simplify(e: sp.Expr | PolyElement | FracElement) -> sp.Expr | PolyElement | FracElement:
@@ -657,7 +642,8 @@ def is_zero(
 
     An element of a jet ring or field is proven zero by exact arithmetic
     (a field element when its numerator reduces to zero by the radical
-    relations); an Expr by its canonical form from simplify. Anything else
+    relations; one whose denominator does is defined nowhere, so
+    inconclusive); an Expr by its canonical form from simplify. Anything else
     is converted to an Expr and sampled: only sampling may say 'nonzero'.
     The numeric tolerance is relative to the magnitude of the expression's
     additive terms at each point, so cancellations of large terms count. It
@@ -668,6 +654,8 @@ def is_zero(
     if isinstance(e, (PolyElement, FracElement)):
         if _proves_zero(e):
             return Verdict(Verdict.PROVEN)
+        if defined_nowhere(e):
+            return Verdict(Verdict.INCONCLUSIVE)
         simplified = to_expr(e)
     else:
         simplified = simplify(e)

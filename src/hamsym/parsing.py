@@ -390,6 +390,22 @@ def _require(entries: dict, key: str, path: str):
     return entries[key]
 
 
+def _refuse_unknown(entries: dict, known: set[str], path: str) -> None:
+    for key in entries:
+        if key not in known:
+            raise SchemaError(f"unknown key {key!r}", f"{path}.{key}")
+
+
+def _name(entries: dict, path: str, taken: list[str]) -> str:
+    """The section's name: a string that no symmetry or relation before it has."""
+    name = _require(entries, "name", path)
+    if not isinstance(name, str):
+        raise SchemaError("name must be a string", f"{path}.name")
+    if name in taken:
+        raise SchemaError(f"name {name!r} is already a symmetry or relation name", f"{path}.name")
+    return name
+
+
 def _expr(text_value, ctx: ParseContext, path: str) -> sp.Expr:
     if not isinstance(text_value, str):
         raise SchemaError("expected a quoted expression", path)
@@ -426,10 +442,7 @@ def parse_system_file(text: str) -> SystemDefinition:
         _expr(s, ctx, f"system.singularities[{k}]") for k, s in enumerate(singular_raw)
     )
 
-    known = {"n", "hamiltonian", "parameters", "singularities"}
-    for key in sys_entries:
-        if key not in known:
-            raise SchemaError(f"unknown key {key!r}", f"system.{key}")
+    _refuse_unknown(sys_entries, {"n", "hamiltonian", "parameters", "singularities"}, "system")
 
     system = HamiltonianSystem(
         n=n,
@@ -442,11 +455,11 @@ def parse_system_file(text: str) -> SystemDefinition:
     relations: list[Relation] = []
     for k, section in enumerate(sections[1:]):
         path = f"{section.name}[{len(symmetries) if section.name == 'symmetry' else len(relations)}]"
+        taken = [x.name for x in (*symmetries, *relations)]
         if section.name == "symmetry" and section.repeated:
             entries = section.entries
-            name = _require(entries, "name", path)
-            if not isinstance(name, str):
-                raise SchemaError("name must be a string", f"{path}.name")
+            _refuse_unknown(entries, {"name", "xi", "eta", "zeta", "v"}, path)
+            name = _name(entries, path, taken)
             # a relation reads each symmetry name as a symbol beside the parameters
             if name in params:
                 raise SchemaError(f"symmetry name {name!r} collides with a parameter", f"{path}.name")
@@ -465,12 +478,11 @@ def parse_system_file(text: str) -> SystemDefinition:
             v = None
             if "v" in entries:
                 v = _expr(entries["v"], ctx, f"{path}.v")
-            if any(name == s.name for s in symmetries):
-                raise SchemaError(f"duplicate symmetry name {name!r}", f"{path}.name")
             symmetries.append(PointSymmetry(name=name, xi=xi, eta=eta, zeta=zeta, v=v))
         elif section.name == "relation" and section.repeated:
             entries = section.entries
-            name = _require(entries, "name", path)
+            _refuse_unknown(entries, {"name", "expr", "equals"}, path)
+            name = _name(entries, path, taken)
             raw_expr = _require(entries, "expr", path)
             equals = entries.get("equals", Fraction(0))
             if not isinstance(equals, Fraction):

@@ -18,6 +18,8 @@ def test_workflow_runs_the_tier1_command():
     assert outside + 2 == commands.index("python -m hamsym examples")
     assert outside + 3 == commands.index("hamsym simulate --example oscillator --state 1,0 --t1 0.1 --json")
     assert outside + 4 == commands.index("hamsym identity-check --n 2 --count 2 --json")
+    # and on the jet field path: a radical, a parameter, sampling and relations
+    assert outside + 6 == commands.index("hamsym check --example kepler3 --json || [ $? -eq 1 ]")
     try:
         import yaml
     except ImportError:

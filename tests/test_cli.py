@@ -910,6 +910,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "--file", str(path))
         assert code == 2 and "zero denominator" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ('[[symmetry]]\nname = "B"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\nV = "q1"\n', "symmetry[1].V: unknown key 'V'"),
+            ('[[relation]]\nname = "r"\nexpr = "A"\nequal = 5\n', "relation[0].equal: unknown key 'equal'"),
+            # a number as name used to reach the JSON writer and exit 4
+            ('[[relation]]\nname = 5\nexpr = "A"\n', "relation[0].name: name must be a string"),
+            ('[[relation]]\nname = "A"\nexpr = "A"\n', "relation[0].name: name 'A' is already a symmetry"),
+        ],
+        ids=["symmetry-key", "relation-key", "relation-name-type", "relation-name-taken"],
+    )
+    def test_bad_symmetry_or_relation_exits_2(self, capsys, tmp_path, section, message):
+        path = tmp_path / "bad.txt"
+        path.write_text('[system]\nn = 1\nhamiltonian = "p1^2/2"\n[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n' + section)
+        code, out, err = run(capsys, "check", "--file", str(path), "--json")
+        assert code == 2 and out == "" and message in err and "Traceback" not in err
+
     def test_unprintable_hamiltonian_exits_2(self, capsys, tmp_path):
         path = tmp_path / "abs.txt"
         path.write_text('[system]\nn = 1\nhamiltonian = "p1^2/2 + sqrt(q1^2)"\n')

@@ -169,6 +169,15 @@ class TestJetField:
         _, (element,) = jet_algebra(1, [(self.r + q) * (self.r - q) - p**2])
         assert element != 0 and is_zero(element).status == Verdict.PROVEN
 
+    def test_an_element_defined_nowhere_is_inconclusive(self):
+        # u = |q1 + q2|: a is defined where q1 + q2 < 0 and b where q1 + q2 > 0,
+        # so a*b's denominator reduces to 0 and its free form is 1/0
+        q1, q2 = coord(1), coord(2)
+        u = sp.sqrt(sp.expand((q1 + q2) ** 2))
+        _, (a, b) = jet_algebra(2, [1 / (u - q1 - q2), 1 / (u + q1 + q2)])
+        assert is_zero(a).status == is_zero(b).status == Verdict.NONZERO
+        assert is_zero(a * b).status == Verdict.INCONCLUSIVE
+
     def test_square_root_of_a_square_is_never_proven_zero(self):
         # sympy writes sqrt(q^2) as Abs(q), which no exact algebra holds
         assert jet_algebra(1, [sp.sqrt(q**2) - q]) is None
@@ -212,6 +221,7 @@ class TestGeneratorTable:
     def _check(self, algebra, exprs):
         lift = algebra_lift(algebra.one)
         for s, gen in zip(algebra.symbols, algebra.gens):
+            assert jet_order(gen) == jet_order(s)  # the order-2 jets included
             if s.is_Symbol:
                 assert lift(s) is gen
         with pytest.raises(ValueError):
@@ -219,6 +229,9 @@ class TestGeneratorTable:
         symbols = [coord(1), coord(2), coord(3), momentum_deriv(3), coord_deriv(1, 2), TIME]
         for e in exprs:
             element = lift(e)
+            # the exact and the Expr branch of jet_order agree, up to order 2
+            for f in (e, e * coord_deriv(1, 2) + momentum_deriv(2)):
+                assert jet_order(lift(f)) == jet_order(f)
             # equal in the algebra, a field's radical relation applied
             for s in symbols:
                 assert is_zero(partial_diff(element, s) - lift(sp.diff(e, s))).status == Verdict.PROVEN

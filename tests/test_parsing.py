@@ -21,6 +21,7 @@ from hamsym.registry import EXAMPLES
 
 CTX1 = ParseContext(n=1)
 CTX3 = ParseContext(n=3, parameters=frozenset({"K"}))
+ONE_SYMMETRY = '[system]\nn = 1\nhamiltonian = "p1^2"\n[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
 
 
 class TestParseExpression:
@@ -354,6 +355,19 @@ class TestSystemFile:
                 "equals must be a rational constant",
             ),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\n[other]\n', "section #1", "unexpected section [other]"),
+            # a misspelt key is refused in every section, not dropped
+            (f'{ONE_SYMMETRY}V = "q1^2/2"\n', "symmetry[0].V", "unknown key 'V'"),
+            (f'{ONE_SYMMETRY}[[relation]]\nname = "r"\nexpr = "A"\nequal = 5\n', "relation[0].equal", "unknown key 'equal'"),
+            # a relation's name labels its report and drift rows, next to the symmetries'
+            (f'{ONE_SYMMETRY}[[relation]]\nname = 5\nexpr = "A"\n', "relation[0].name", "name must be a string"),
+            *(
+                (f"{ONE_SYMMETRY}{later}", path, f"name {name!r} is already a symmetry or relation name")
+                for later, path, name in (
+                    ('[[relation]]\nname = "A"\nexpr = "A"\n', "relation[0].name", "A"),
+                    ('[[relation]]\nname = "r"\nexpr = "A"\n[[relation]]\nname = "r"\nexpr = "A^2"\n', "relation[1].name", "r"),
+                    ('[[relation]]\nname = "B"\nexpr = "A"\n[[symmetry]]\nname = "B"\nxi = "0"\neta = ["1"]\nzeta = ["0"]\n', "symmetry[1].name", "B"),
+                )
+            ),
             *(
                 (
                     '[system]\nn = 1\nhamiltonian = "p1^2"\nparameters = { K = 1 }\n'
@@ -382,6 +396,12 @@ class TestSystemFile:
             "non-string-name",
             "equals-not-rational",
             "unexpected-section",
+            "symmetry-unknown-key",
+            "relation-unknown-key",
+            "relation-non-string-name",
+            "relation-named-like-a-symmetry",
+            "relations-with-one-name",
+            "symmetry-named-like-a-relation",
             "name-is-parameter",
             "name-is-parameter-in-relation",
             "name-is-t",
