@@ -8,7 +8,7 @@ import math
 import textwrap
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import sympy as sp
 
@@ -153,7 +153,10 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
         raise IntegrationError(f"state must have length {2 * sys.n} (q1..qn, p1..pn)")
     steps = config.steps
     try:
-        times = config.t0 + config.step * np.arange(steps + 1)
+        # k*step, then + t0, in place: the bits of t0 + step*k without temporaries
+        times = np.arange(steps + 1, dtype=float)
+        times *= config.step
+        times += config.t0
         states = np.empty((steps + 1, 2 * sys.n))
     except (ValueError, MemoryError):
         raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
@@ -315,25 +318,33 @@ def drift(
 
     entries = []
     for integral in integrals:
-        values = _values_along(integral.expression, sys, trajectory)
-        deltas = values - values[0]
-        if modulo is not None:
-            deltas = deltas - modulo * np.round(deltas / modulo)
-        max_abs = float(np.max(np.abs(deltas)))
-        relative = max_abs / max(1.0, abs(float(values[0])))
+        first, max_abs, series = None, 0.0, []
+        # each block is a new array, so its deltas are taken in place
+        for deltas in _blocks_along(integral.expression, sys, trajectory):
+            if first is None:
+                first = deltas[0]
+            deltas -= first
+            if modulo is not None:
+                deltas -= modulo * np.round(deltas / modulo)
+            # np.maximum keeps a NaN, as one np.max over every row would
+            max_abs = np.maximum(max_abs, np.max(np.abs(deltas)))
+            if keep_series:
+                series.append(deltas)
+        max_abs = float(max_abs)
         entries.append(
             DriftSeries(
                 integral=integral.name,
                 max_abs=max_abs,
-                relative=relative,
-                series=deltas if keep_series else None,
+                relative=max_abs / max(1.0, abs(float(first))),
+                series=np.concatenate(series) if keep_series else None,
             )
         )
     return DriftReport(entries=tuple(entries))
 
 
-def _values_along(e: sp.Expr, sys: HamiltonianSystem, trajectory: Trajectory) -> np.ndarray:
-    """Values of `e` at every sample, a block of rows at a time.
+def _blocks_along(e: sp.Expr, sys: HamiltonianSystem, trajectory: Trajectory) -> Iterator[np.ndarray]:
+    """Values of `e` at every sample, one new float64 array per block of
+    DRIFT_BLOCK rows, so no array but the trajectory is as long as it.
 
     A block that raises a floating-point error or gives a complex or
     non-finite value is evaluated again on the scalar evaluator, which
@@ -344,7 +355,6 @@ def _values_along(e: sp.Expr, sys: HamiltonianSystem, trajectory: Trajectory) ->
 
     (e,), fn = _compile((e,), sys.n, sys, array=True)
     times, states = trajectory.times, trajectory.states
-    values = np.empty(len(times))
     for start in range(0, len(times), DRIFT_BLOCK):
         rows = slice(start, start + DRIFT_BLOCK)
         try:
@@ -353,12 +363,14 @@ def _values_along(e: sp.Expr, sys: HamiltonianSystem, trajectory: Trajectory) ->
             clean = not np.iscomplexobj(block) and bool(np.all(np.isfinite(block)))
         except FloatingPointError:
             clean = False
-        if clean:
-            values[rows] = block
-        else:
+        if not clean:
             scalar = compile_expression(e, sys.n)
-            values[rows] = [scalar(t, y) for t, y in zip(times[rows], states[rows])]
-    return values
+            block = [scalar(t, y) for t, y in zip(times[rows], states[rows])]
+        # cast as a slice assignment casts: a constant integral gives a
+        # scalar block and a bare coordinate a view of the trajectory
+        values = np.empty(len(times[rows]))
+        values[:] = block
+        yield values
 
 
 @dataclass(frozen=True)

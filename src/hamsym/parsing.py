@@ -356,6 +356,9 @@ def _split_top_level(body: str) -> list[str]:
 class _Section:
     name: str
     repeated: bool
+    # where errors point: `system`, or `symmetry[i]` for the i-th [[symmetry]],
+    # counted as parse_system_file counts the symmetries and relations
+    path: str
     entries: dict = field(default_factory=dict)
 
 
@@ -369,7 +372,9 @@ def _split_sections(text: str) -> list[_Section]:
         m = _SECTION_RE.match(line)
         if m:
             name = m.group("rep") or m.group("single")
-            current = _Section(name, repeated=m.group("rep") is not None)
+            repeated = m.group("rep") is not None
+            index = sum(s.repeated and s.name == name for s in sections)
+            current = _Section(name, repeated, f"{name}[{index}]" if repeated else name)
             sections.append(current)
             continue
         m = _KEY_RE.match(line)
@@ -379,8 +384,8 @@ def _split_sections(text: str) -> list[_Section]:
             raise SchemaError(f"key outside any section at line {lineno}", "file")
         key = m.group(1)
         if key in current.entries:
-            raise SchemaError(f"duplicate key {key!r}", current.name)
-        current.entries[key] = _parse_value(m.group(2).strip(), f"{current.name}.{key}")
+            raise SchemaError(f"duplicate key {key!r}", current.path)
+        current.entries[key] = _parse_value(m.group(2).strip(), f"{current.path}.{key}")
     return sections
 
 
@@ -454,7 +459,7 @@ def parse_system_file(text: str) -> SystemDefinition:
     symmetries: list[PointSymmetry] = []
     relations: list[Relation] = []
     for k, section in enumerate(sections[1:]):
-        path = f"{section.name}[{len(symmetries) if section.name == 'symmetry' else len(relations)}]"
+        path = section.path
         taken = [x.name for x in (*symmetries, *relations)]
         if section.name == "symmetry" and section.repeated:
             entries = section.entries

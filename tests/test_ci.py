@@ -20,6 +20,8 @@ def test_workflow_runs_the_tier1_command():
     assert outside + 4 == commands.index("hamsym identity-check --n 2 --count 2 --json")
     # and on the jet field path: a radical, a parameter, sampling and relations
     assert outside + 6 == commands.index("hamsym check --example kepler3 --json || [ $? -eq 1 ]")
+    # and on a trajectory that drift takes in three blocks
+    assert outside + 8 == commands.index("hamsym simulate --example example1 --state 1,0 --t1 20 --json")
     try:
         import yaml
     except ImportError:

@@ -1,5 +1,6 @@
 """Compiled evaluation, fixed-step integration, drift and order estimates."""
 import math
+import tracemalloc
 from dataclasses import replace
 from random import Random
 
@@ -15,9 +16,9 @@ from hamsym.dynamics import (
     IntegratorConfig,
     SingularityAbort,
     Trajectory,
+    _blocks_along,
     _loop,
     _rhs_function,
-    _values_along,
     compile_expression,
     convergence_order,
     drift,
@@ -161,6 +162,13 @@ class TestIntegrate:
         a = integrate(oscillator.system, [1.0, 0.0], config)
         b = integrate(oscillator.system, [1.0, 0.0], config)
         assert np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times)
+
+    def test_times_are_t0_plus_k_steps(self, oscillator):
+        # built in place, the grid keeps the bits of t0 + step*k
+        config = IntegratorConfig(method="rk4", h=0.007, t0=0.3, t1=1.7)
+        trajectory = integrate(oscillator.system, [1.0, 0.0], config)
+        expected = config.t0 + config.step * np.arange(config.steps + 1)
+        assert trajectory.times.dtype == expected.dtype and trajectory.times.tobytes() == expected.tobytes()
 
     def test_complex_power_aborts(self):
         # the momentum equation holds q1**(3/2), which is complex on a
@@ -367,7 +375,7 @@ class TestDrift:
         trajectory = integrate(oscillator.system, [1.0, 0.0], config)
         scalar = compile_expression(e, 1)
         expected = np.array([scalar(t, y) for t, y in zip(trajectory.times, trajectory.states)])
-        values = _values_along(e, oscillator.system, trajectory)
+        values = np.concatenate(list(_blocks_along(e, oscillator.system, trajectory)))
         assert np.all(np.abs(values - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
 
     def test_singular_sample_aborts_at_its_time(self, oscillator):
@@ -379,7 +387,8 @@ class TestDrift:
         with pytest.raises(SingularityAbort) as info:
             drift(oscillator.system, [root], trajectory)
         first_negative = int(np.argmax(trajectory.states[:, 0] < 0))
-        assert first_negative > DRIFT_BLOCK
+        # in the middle one of three blocks
+        assert DRIFT_BLOCK < first_negative < 2 * DRIFT_BLOCK < len(trajectory.times)
         assert info.value.time_reached == trajectory.times[first_negative]
 
     def test_pole_under_bounded_function_aborts(self, oscillator):
@@ -390,6 +399,49 @@ class TestDrift:
         with pytest.raises(SingularityAbort) as info:
             drift(oscillator.system, [FirstIntegral("angle", sp.atan(1 / q))], trajectory)
         assert info.value.time_reached == 0.0
+
+    @pytest.mark.parametrize("modulo", [None, math.pi])
+    def test_block_wise_drift_matches_full_arrays(self, oscillator, modulo):
+        # two full blocks and a short third, against the whole trajectory
+        # evaluated, differenced and folded at once
+        config = IntegratorConfig(method="rk4", h=1e-3, t1=17.5)
+        trajectory = integrate(oscillator.system, [1.0, 0.0], config)
+        assert 2 * DRIFT_BLOCK < len(trajectory.times) < 3 * DRIFT_BLOCK
+        integrals = [
+            FirstIntegral("H", oscillator.system.hamiltonian),
+            FirstIntegral("angle", sp.atan(p / q) + TIME),
+            FirstIntegral("q1", q),
+            FirstIntegral("one", sp.Integer(1)),
+        ]
+        report = drift(oscillator.system, integrals, trajectory, modulo=modulo, keep_series=True)
+        for integral in integrals:
+            (_,), fn = hamsym.dynamics._compile((integral.expression,), 1, oscillator.system, array=True)
+            values = np.empty(len(trajectory.times))
+            values[:] = fn(trajectory.times, *trajectory.states.T)[0]
+            deltas = values - values[0]
+            if modulo is not None:
+                deltas = deltas - modulo * np.round(deltas / modulo)
+            max_abs = float(np.max(np.abs(deltas)))
+            entry = report.entry(integral.name)
+            assert entry.max_abs.hex() == max_abs.hex()
+            assert entry.relative.hex() == (max_abs / max(1.0, abs(float(values[0])))).hex()
+            assert entry.series.tobytes() == deltas.tobytes()
+        # a bare coordinate is differenced in a copy, never in the trajectory
+        assert trajectory.states[0, 0] == 1.0
+
+    def test_drift_holds_no_full_length_array(self, oscillator):
+        steps = 200_000
+        times = np.linspace(0.0, 20.0, steps + 1)
+        trajectory = Trajectory(times=times, states=np.column_stack((np.cos(times), -np.sin(times))))
+        integrals = [FirstIntegral("H", oscillator.system.hamiltonian), FirstIntegral("angle", sp.atan(p / q) + TIME)]
+        tracemalloc.start()
+        try:
+            drift(oscillator.system, integrals, trajectory, modulo=math.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one full-length float64 column
+        assert peak < 8 * (steps + 1)
 
 
 class TestImplicitMidpoint:

@@ -355,6 +355,17 @@ class TestSystemFile:
                 "equals must be a rational constant",
             ),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\n[other]\n', "section #1", "unexpected section [other]"),
+            # a value refused while the file is split into sections names its block
+            (
+                f'{ONE_SYMMETRY}[[symmetry]]\nname = "B"\nxi = "0"\neta = [q1]\nzeta = ["0"]\n',
+                "symmetry[1].eta",
+                "list items must be quoted strings",
+            ),
+            (
+                f'{ONE_SYMMETRY}[[relation]]\nname = "r"\nexpr = "A"\n[[relation]]\nname = "s"\nexpr = "A"\nexpr = "A^2"\n',
+                "relation[1]",
+                "duplicate key 'expr'",
+            ),
             # a misspelt key is refused in every section, not dropped
             (f'{ONE_SYMMETRY}V = "q1^2/2"\n', "symmetry[0].V", "unknown key 'V'"),
             (f'{ONE_SYMMETRY}[[relation]]\nname = "r"\nexpr = "A"\nequal = 5\n', "relation[0].equal", "unknown key 'equal'"),
@@ -396,6 +407,8 @@ class TestSystemFile:
             "non-string-name",
             "equals-not-rational",
             "unexpected-section",
+            "second-symmetry-unquoted-list-item",
+            "second-relation-duplicate-key",
             "symmetry-unknown-key",
             "relation-unknown-key",
             "relation-non-string-name",
@@ -422,7 +435,7 @@ class TestSystemFile:
                 '[system]\nn = 1\nhamiltonian = "p1^2/2"\n'
                 '[[symmetry]]\nname = "A"\nxi = "1"\neta = ["0"]\nzeta = ["0"]\n'
                 '[[relation]]\nname = "r"\nexpr = "A"\nequals = 1/0\n',
-                "relation.equals",
+                "relation[0].equals",
             ),
         ],
         ids=["parameter", "equals"],
