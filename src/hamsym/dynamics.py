@@ -128,6 +128,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise IntegrationError("times and states lengths differ")
+        if len(self.times) == 0:
+            raise IntegrationError("a trajectory needs at least one sample")
 
 
 @lru_cache(maxsize=8)

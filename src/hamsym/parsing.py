@@ -1,13 +1,15 @@
 """Expression DSL and system-definition file parsing, plus formatting.
 
-Grammar (precedence low to high): + -, * /, unary -, ^ (right-assoc),
-atoms NUMBER | IDENT | IDENT(expr) | (expr). Numbers are exact integers;
-rationals come out of the division operator. Reserved identifiers are t,
-q1..qn, p1..pn and the jet tokens dq./dp. (ddq./ddp. for second order);
-everything else must be a declared parameter or function name.
+Grammar: unary minus and the operators of _BINARY over atoms NUMBER | IDENT
+| IDENT(expr) | (expr), nested at most _MAX_DEPTH deep. Numbers are exact
+integers; rationals come out of the division operator. Reserved identifiers
+are t, q1..qn, p1..pn and the jet tokens dq./dp. (ddq./ddp. for second
+order); everything else must be a declared parameter or function name.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,19 +86,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The grammar, read by _Parser and _fmt alike: unary minus binds at _PREC_UNARY,
+# and ^ is right-associative with an atom on its left, a unary-level right side.
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
+_BINARY = {"+": (_PREC_ADD, operator.add), "-": (_PREC_ADD, operator.sub), "*": (_PREC_MUL, operator.mul),
+           "/": (_PREC_MUL, operator.truediv), "^": (_PREC_ATOM, operator.pow)}
+# at 140 nested sin calls sympy's diff already passes Python's recursion limit
+_MAX_DEPTH = 100
+# Python converts no integer of more digits to or from text, so _fmt could not print it
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+
+
 class _Parser:
     def __init__(self, tokens, ctx: ParseContext):
-        self.tokens = tokens
-        self.ctx = ctx
-        self.i = 0
+        self.tokens, self.ctx, self.i = tokens, ctx, 0
 
     def peek(self):
         return self.tokens[self.i]
 
     def next(self):
-        token = self.tokens[self.i]
         self.i += 1
-        return token
+        return self.tokens[self.i - 1]
 
     def expect(self, value: str):
         kind, text, pos = self.peek()
@@ -111,68 +122,58 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def expr(self) -> sp.Expr:
-        out = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.term()
-                out = out + rhs if text == "+" else out - rhs
-            else:
-                return out
-
-    def term(self) -> sp.Expr:
-        out = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                rhs = self.unary()
-                if text == "*":
-                    out = out * rhs
-                else:
-                    if rhs == 0:
-                        raise ParseError("division by literal zero", pos)
-                    out = out / rhs
-            else:
-                return out
-
-    def unary(self) -> sp.Expr:
-        kind, text, _ = self.peek()
+    def expr(self, floor: int = _PREC_ADD, depth: int = 0) -> sp.Expr:
+        """An operand of the _BINARY operators that bind at `floor` or tighter.
+        A parenthesis, call, unary minus or ^ right side is one level deeper."""
+        kind, text, pos = self.peek()
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} levels deep", pos)
         if kind == "op" and text == "-":
             self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> sp.Expr:
-        base = self.atom()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
+            out = -self.expr(_PREC_UNARY, depth + 1)
+        else:
+            out = self.atom(depth)
+        while True:
+            kind, text, pos = self.peek()
+            prec, apply = _BINARY.get(text, (0, None))
+            if prec < floor:
+                return out
             self.next()
-            exponent = self.unary()
-            if not exponent.is_Rational:
-                raise ParseError("exponent must be a rational constant", pos)
-            if base == 0 and exponent < 0:
-                raise ParseError("zero raised to a negative power", pos)
-            return base**exponent
-        return base
+            if text == "^":
+                rhs = self.expr(_PREC_UNARY, depth + 1)
+                if not rhs.is_Rational:
+                    raise ParseError("exponent must be a rational constant", pos)
+                if out == 0 and rhs < 0:
+                    raise ParseError("zero raised to a negative power", pos)
+                # sympy multiplies out each rational factor of the base and each
+                # power of one: estimate the digits of the result before it does
+                parts = (f.as_base_exp() for f in sp.Mul.make_args(out))
+                digits = sum(abs(e) * math.log10(max(abs(b.p), b.q)) for b, e in parts if b.is_Rational and e.is_Rational)
+                if digits and abs(rhs) * digits > _MAX_DIGITS:
+                    raise ParseError(f"constant power of more than {_MAX_DIGITS} digits", pos)
+            else:
+                rhs = self.expr(prec + 1, depth)
+                if text == "/" and rhs == 0:
+                    raise ParseError("division by literal zero", pos)
+            out = apply(out, rhs)
 
-    def atom(self) -> sp.Expr:
+    def atom(self, depth: int) -> sp.Expr:
         kind, text, pos = self.next()
         if kind == "number":
-            return sp.Integer(int(text))
+            try:
+                return sp.Integer(int(text))
+            except ValueError:
+                raise ParseError(f"integer literal of more than {_MAX_DIGITS} digits", pos) from None
         if kind == "op" and text == "(":
-            e = self.expr()
+            e = self.expr(_PREC_ADD, depth + 1)
             self.expect(")")
             return e
         if kind == "ident":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
+            if self.peek()[1] == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
                 self.next()
-                arg = self.expr()
+                arg = self.expr(_PREC_ADD, depth + 1)
                 self.expect(")")
                 return FUNCTIONS[text](arg)
             return self.identifier(text, pos)
@@ -203,15 +204,12 @@ def parse_expression(text: str, ctx: ParseContext) -> sp.Expr:
     for node in sp.preorder_traversal(e):
         if not isinstance(node, _PRINTABLE):
             raise ParseError(f"input has no written form: {_unprintable(node)}", 0)
+        if node.is_Rational and max(abs(node.p), node.q) >= _DIGITS_BOUND:
+            raise ParseError(f"input has a constant of more than {_MAX_DIGITS} digits", 0)
     return e
 
 
 # --- formatting ----------------------------------------------------------
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_UNARY = 3
-_PREC_ATOM = 4
 
 # sqrt is a function, not a class: it builds a power and prints as one
 _FUNC_NAMES = {cls: name for name, cls in FUNCTIONS.items() if isinstance(cls, type)}
@@ -236,11 +234,9 @@ def _fmt(e: sp.Expr, parent: int) -> str:
     if e is sp.E:
         return "exp(1)"
     if e.is_Integer:
-        s = str(e)
-        return _paren(s, e < 0 and parent > _PREC_UNARY)
+        return _paren(str(e), e < 0 and parent > _PREC_UNARY)
     if e.is_Rational:
-        s = f"{e.p}/{e.q}"
-        return _paren(s, parent > _PREC_MUL)
+        return _paren(f"{e.p}/{e.q}", parent > _PREC_MUL)
     if e.is_Symbol:
         return e.name
     if e.is_Add:
@@ -254,11 +250,10 @@ def _fmt(e: sp.Expr, parent: int) -> str:
                 parts.append(" + " + _fmt(term, _PREC_MUL))
         return _paren("".join(parts), parent > _PREC_ADD)
     if e.is_Mul:
-        coeff, rest = e.as_coeff_Mul()
+        coeff = e.as_coeff_Mul()[0]
         if coeff.is_Number and coeff < 0:
             return _paren("-" + _fmt(-e, _PREC_UNARY), parent > _PREC_UNARY)
-        factors = e.as_ordered_factors()
-        parts = [_fmt(f, _PREC_UNARY) for f in factors]
+        parts = [_fmt(f, _PREC_UNARY) for f in e.as_ordered_factors()]
         return _paren("*".join(parts), parent > _PREC_MUL)
     if e.is_Pow:
         if e.exp == sp.Rational(1, 2):
@@ -268,8 +263,7 @@ def _fmt(e: sp.Expr, parent: int) -> str:
             out = f"{base}^{e.exp}"
         else:
             out = f"{base}^({_fmt(e.exp, _PREC_ADD)})"
-        # the grammar only allows atoms left of ^, so a Pow serving as a
-        # base must be wrapped
+        # only an atom stands left of ^, so a Pow there is wrapped
         return _paren(out, parent >= _PREC_ATOM)
     for cls, name in _FUNC_NAMES.items():
         if isinstance(e, cls):
@@ -329,10 +323,13 @@ def _parse_rational(raw: str, path: str) -> Fraction:
     m = _RATIONAL_RE.match(raw)
     if not m:
         raise SchemaError(f"expected integer or rational, found {raw!r}", path)
-    denominator = int(m.group(2) or 1)
+    try:
+        numerator, denominator = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:
+        raise SchemaError(f"integer of more than {_MAX_DIGITS} digits", path) from None
     if denominator == 0:
         raise SchemaError(f"zero denominator in {raw!r}", path)
-    return Fraction(int(m.group(1)), denominator)
+    return Fraction(numerator, denominator)
 
 
 def _split_top_level(body: str) -> list[str]:

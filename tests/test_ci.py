@@ -22,6 +22,9 @@ def test_workflow_runs_the_tier1_command():
     assert outside + 6 == commands.index("hamsym check --example kepler3 --json || [ $? -eq 1 ]")
     # and on a trajectory that drift takes in three blocks
     assert outside + 8 == commands.index("hamsym simulate --example example1 --state 1,0 --t1 20 --json")
+    # and on input nested past the parser's bound, which must exit 2
+    deep = """hamsym verify --example oscillator "$(python -c "print('(' * 300 + 'q1' + ')' * 300)")" && exit 1 || [ $? -eq 2 ]"""
+    assert outside + 10 == commands.index(deep)
     try:
         import yaml
     except ImportError:

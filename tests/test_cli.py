@@ -853,6 +853,33 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2 and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "expression, file_line, message",
+        [
+            ("(" * 300 + "q1" + ")" * 300, None, "nested more than 100 levels deep"),
+            ("2" + "^2" * 2000, None, "nested more than 100 levels deep"),
+            (None, f'hamiltonian = "{"-" * 2000}p1^2"', "system.hamiltonian: bad expression"),
+            ("1" * 5000 + "*q1", None, "integer literal of more than 4300 digits"),
+            (None, f'hamiltonian = "K*p1^2"\nparameters = {{ K = {"1" * 5000} }}', "system.parameters.K: integer of more"),
+            ("2^2^2^2^2*q1", None, "constant power of more than 4300 digits"),
+            ("9^9^9*q1", None, "constant power of more than 4300 digits"),
+        ],
+        ids=["300-parentheses", "2000-carets", "2000-minus-file", "5000-digits", "5000-digits-file", "2^2^2^2^2", "9^9^9"],
+    )
+    def test_hostile_input_exits_2_within_a_second(self, capsys, tmp_path, expression, file_line, message):
+        # each used to end in RecursionError or ValueError (exit 4), or run unbounded
+        if expression is None:
+            path = tmp_path / "hostile.txt"
+            path.write_text(f"[system]\nn = 1\n{file_line}\n")
+            argv = ("check", "--file", str(path))
+        else:
+            argv = ("verify", "--example", "oscillator", expression)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == "" and message in err and "Traceback" not in err
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
     def test_oversized_trajectory_fails_before_the_report(self, capsys):
         # kepler3's symbolic report takes seconds; the size check comes first
         start = time.perf_counter()

@@ -148,6 +148,14 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="lengths differ"):
             Trajectory(times=np.zeros(3), states=np.zeros((2, 2)))
 
+    def test_an_empty_trajectory_is_refused(self, oscillator):
+        # drift reads the first sample as its reference, so a trajectory has one
+        with pytest.raises(IntegrationError, match="at least one sample"):
+            Trajectory(times=np.zeros(0), states=np.zeros((0, 2)))
+        H = FirstIntegral("H", oscillator.system.hamiltonian)
+        report = drift(oscillator.system, [H], Trajectory(times=np.zeros(1), states=np.array([[1.0, 0.0]])))
+        assert report.entries[0].max_abs == 0.0
+
     def test_singularity_abort_reports_time(self):
         # the momentum equation has a domain boundary at q = 0, which this
         # trajectory crosses before t = 2

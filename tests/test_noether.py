@@ -11,6 +11,7 @@ from sympy.polys.rings import PolyElement
 
 import hamsym.noether
 from hamsym.expressions import (
+    DEFAULT_TOL,
     TIME,
     SamplingError,
     Verdict,
@@ -393,6 +394,27 @@ def test_exact_and_expr_on_shell_residuals_agree(request, name, monkeypatch):
     _clear_algebra_memos()
     for X, a, b in zip(defn.symmetries, exact, expr):
         assert sp.cancel(sys_.bind(a - b)) == 0, X.name
+
+
+@pytest.mark.parametrize("name", ["example1", "coulomb", "oscillator", "kepler2", "kepler3"])
+def test_lemma2_holds_on_shell(request, name):
+    # Lemma 2 on shell, in each symmetry's own algebra: delta R / delta p_j is
+    # the direct condition on dq_j's equation, and delta R / delta q_j minus
+    # the one on dp_j's, where R is the invariance residual
+    defn = request.getfixturevalue(name)
+    sys_, n = defn.system, defn.system.n
+    _clear_algebra_memos()
+    for X in defn.symmetries:
+        residual = hamsym.noether._residual(sys_, X)
+        direct = hamsym.noether._direct_conditions(sys_, X)
+        for j in range(1, n + 1):
+            pairs = (
+                (f"p{j}", on_shell(sys_, variational_derivative_p(residual, j)) - on_shell(sys_, direct[j - 1])),
+                (f"q{j}", on_shell(sys_, variational_derivative_q(residual, j)) + on_shell(sys_, direct[n + j - 1])),
+            )
+            for side, difference in pairs:
+                verdict = hamsym.noether._zero(sys_, difference, f"lemma2:{X.name}:{side}", SEED, DEFAULT_TOL)
+                assert verdict.status == Verdict.PROVEN, (X.name, side)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "expr"])

@@ -108,6 +108,71 @@ class TestParseErrors:
                 parse_expression(text, CTX1)
 
 
+def _nested(opener: str, depth: int, closer: str = "") -> str:
+    return opener * depth + "q1" + closer * depth
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            (_nested("(", 101, ")"), 101),
+            (_nested("(", 300, ")"), 101),
+            (_nested("sin(", 101, ")"), 404),
+            (_nested("-", 2000), 101),
+            ("2" + "^2" * 2000, 202),
+        ],
+        ids=["101-parentheses", "300-parentheses", "101-sin", "2000-minus", "2000-carets"],
+    )
+    def test_nesting_deeper_than_100_is_refused(self, text, offset):
+        # each parenthesis, call, unary minus and ^ right side is one level;
+        # the offset is where the first expression past the bound starts
+        with pytest.raises(ParseError, match="nested more than 100 levels deep") as info:
+            parse_expression(text, CTX1)
+        assert info.value.position == offset
+
+    def test_nesting_of_100_and_a_flat_sum_parse(self):
+        e = parse_expression(_nested("sin(", 100, ")"), CTX1)
+        assert sum(1 for _ in sp.preorder_traversal(e)) == 101
+        assert parse_expression(_nested("(", 100, ")") + "*" + _nested("-", 100), CTX1) == coord(1) ** 2
+        # operands side by side do not nest, however many
+        assert parse_expression(" + ".join(["1"] * 10_000), CTX1) == 10_000
+        assert parse_expression(" * ".join(["2"] * 10_000), CTX1) == 2**10_000
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("1" * 5000 + "*q1", "integer literal of more than 4300 digits", 0),
+            ("q1 + " + "1" * 4301, "integer literal of more than 4300 digits", 5),
+            ("2^2^2^2^2*q1", "constant power of more than 4300 digits", 1),
+            ("9^9^9", "constant power of more than 4300 digits", 1),
+            ("(2*q1)^65536", "constant power of more than 4300 digits", 6),
+            ("(1/3)^-10000", "constant power of more than 4300 digits", 5),
+            # sympy multiplies out a power of a rational too: 3^193710244 here
+            ("sqrt(3)^(9^9)", "constant power of more than 4300 digits", 7),
+            ("10^4000*10^4000*q1", "input has a constant of more than 4300 digits", 0),
+            ("p1/10^4300", "input has a constant of more than 4300 digits", 0),
+        ],
+        ids=["5000-digits", "4301-digits", "2^2^2^2^2", "9^9^9", "coefficient", "rational", "root", "product", "denominator"],
+    )
+    def test_constants_past_4300_digits_are_refused(self, text, message, offset):
+        # Python neither reads nor writes such an integer as text, so the
+        # formatter could not print it; a power is refused before it is computed
+        with pytest.raises(ParseError, match=message) as info:
+            parse_expression(text, CTX1)
+        assert info.value.position == offset
+
+    def test_the_constant_bound_is_the_printers(self):
+        # 10^4299 has 4300 digits and prints; 10^4300 has one more
+        e = parse_expression("10^4299*q1", CTX1)
+        assert parse_expression(format_expression(e), CTX1) == e
+        raw = _Parser(_tokenize("10^4300*q1"), CTX1).parse()
+        with pytest.raises(ValueError):
+            format_expression(raw)
+        with pytest.raises(ParseError, match="constant of more than 4300 digits"):
+            parse_expression("10^4300*q1", CTX1)
+
+
 def _random_expression(rng: Random, depth: int = 0) -> sp.Expr:
     atoms = [
         TIME,
@@ -337,6 +402,15 @@ class TestSystemFile:
                 "expected integer or rational, found '{ a = 1, b = 2 }'",
             ),
             ('[system]\nn = x\nhamiltonian = "p1^2"\n', "system.n", "expected integer or rational"),
+            # past the parser's bounds: nesting and Python's 4,300-digit integers
+            (f'[system]\nn = 1\nhamiltonian = "{"-" * 2000}p1^2"\n', "system.hamiltonian", "nested more than 100 levels deep"),
+            (f'[system]\nn = {"1" * 5000}\nhamiltonian = "p1^2"\n', "system.n", "integer of more than 4300 digits"),
+            (
+                f'[system]\nn = 1\nhamiltonian = "K*p1^2"\nparameters = {{ K = 1/{"7" * 5000} }}\n',
+                "system.parameters.K",
+                "integer of more than 4300 digits",
+            ),
+            (f'{ONE_SYMMETRY}[[relation]]\nname = "r"\nexpr = "A"\nequals = {"3" * 5000}\n', "relation[0].equals", "integer of more than 4300 digits"),
             ('[system]\nn = 1\nhamiltonian = "p1^2"\nwhat\n', "file", "cannot parse line 4"),
             ('n = 1\n[system]\nhamiltonian = "p1^2"\n', "file", "key outside any section at line 1"),
             ('[system]\nn = 1\nn = 1\nhamiltonian = "p1^2"\n', "system", "duplicate key 'n'"),
@@ -398,6 +472,10 @@ class TestSystemFile:
             "bad-table-entry",
             "nested-table",
             "not-rational",
+            "hamiltonian-nested-too-deep",
+            "n-too-long",
+            "parameter-too-long",
+            "equals-too-long",
             "unparsable-line",
             "key-outside-section",
             "duplicate-key",
