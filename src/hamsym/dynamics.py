@@ -4,6 +4,7 @@ State layout everywhere is the flat vector (t, q1..qn, p1..pn).
 """
 from __future__ import annotations
 
+import linecache
 import math
 import textwrap
 from dataclasses import dataclass, field, replace
@@ -144,9 +145,10 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
     """Advance the canonical equations with the configured fixed-step method.
 
     The trajectory is allocated first, so one too large to hold raises
-    IntegrationError before anything is compiled. The loop is generated for
-    the method and the state dimension, and runs on local Python floats; the
-    three tests/golden/trajectory-*.csv files pin its states bit for bit.
+    IntegrationError before anything is compiled. The loop is generated once
+    per system and method, with the right-hand side inlined, and runs on
+    local Python floats; the three tests/golden/trajectory-*.csv files pin
+    its states bit for bit.
     """
     import numpy as np
 
@@ -163,17 +165,23 @@ def integrate(sys: HamiltonianSystem, state0: Sequence[float], config: Integrato
     except (ValueError, MemoryError):
         raise IntegrationError(f"cannot allocate a trajectory of {steps:.3g} steps; increase h") from None
     states[0] = y
-    rhs = _rhs_function(sys)
+    loop = _loop(_rhs_function(sys), config.method)
     with memoryview(times) as times_view, memoryview(states.reshape(-1)) as states_view:
-        _loop(config.method, 2 * sys.n)(rhs, times_view, states_view, y.tolist(), config.step, config)
+        loop(times_view, states_view, y.tolist(), config.step, config)
     return Trajectory(times=times, states=states)
 
 
-# One checked evaluation of the right-hand side `fn` at the stage time ts: a
-# raised singular error or a complex or non-finite value aborts at that time.
-_STAGE = """\
+# What one unchecked RK4 step can raise: a singular error, or a TypeError
+# where a complex stage value meets a math function or isfinite.
+_STEP_ERRORS = (*SINGULAR_ERRORS, TypeError)
+
+# One checked evaluation of the right-hand side at the stage time ts:
+# {evaluate} sets the stage values, and a raised singular error or a complex
+# or non-finite value aborts at ts.
+_CHECKED_STAGE = """\
+ts = {time}
 try:
-    {ks}, = fn(ts, {args})
+{evaluate}
 except SINGULAR_ERRORS as exc:
     raise SingularityAbort(f"singular evaluation of the canonical equations: {{exc}}", ts) from None
 try:
@@ -186,9 +194,11 @@ if not finite:
 
 # The fixed-step loop; {increment} sets d0..d{m-1}, the method's step before
 # the compensated (Kahan) update of the state: long runs otherwise accumulate
-# a rounding random walk that masks the methods' conservation.
+# a rounding random walk that masks the methods' conservation. Its own names
+# must differ from those of the spliced right-hand side (t, q1.., p1.., the
+# cse temporaries x0.. and its functions); _loop refuses an overlap.
 _LOOP = """\
-def loop(fn, times, states, y, h, config):
+def loop(times, states, y, h, config):
     {ys}, = y
     {cs} = 0.0
     half = h / 2
@@ -196,16 +206,33 @@ def loop(fn, times, states, y, h, config):
     tol = config.fixed_point_tol
     max_iter = config.fixed_point_max_iter
     row = {m}
-    for k in range(config.steps):
-        t = times[k]
+    for step in range(config.steps):
+        tk = times[step]
 {increment}
 {update}
         if not ({state_finite}):
-            raise SingularityAbort("non-finite state", t)
+            raise SingularityAbort("non-finite state", tk)
 {store}
         row += {m}
 """
 
+# RK4 runs its stages unchecked and tests only the increments: each stage
+# value enters exactly one d_i with a positive weight, so a NaN, infinite or
+# complex one leaves that d_i non-finite or complex. A step that raises or
+# fails the test is replayed from the same (tk, y) with checked stages, which
+# raise the abort of the stage that failed, or give the same increments.
+_RK4_STEP = """\
+try:
+{fast}
+    clean = {finite}
+except STEP_ERRORS:
+    clean = False
+if not clean:
+{checked}
+"""
+
+# The implicit midpoint checks every iterate: an iterate need not reach the
+# increment (1/x of an infinite argument is finite).
 _MIDPOINT_ITERATION = """\
 for _ in range(max_iter):
 {stage}
@@ -214,74 +241,119 @@ for _ in range(max_iter):
     if delta <= tol:
         break
 else:
-    raise IntegrationError(f"implicit midpoint did not converge within {{max_iter}} iterations at t={{t!r}}")
+    raise IntegrationError(f"implicit midpoint did not converge within {{max_iter}} iterations at t={{tk!r}}")
 """
 
 
-@lru_cache(maxsize=None)
-def _loop(method: str, m: int):
-    """The integrator loop of `method` over a state of m floats, generated
-    from the templates above, as a function of the compiled right-hand side,
+@lru_cache(maxsize=16)
+def _loop(fn, method: str):
+    """The integrator loop of `method` for the compiled right-hand side `fn`
+    of _rhs_function (two methods for each system it holds), generated from
+    the templates above with the code lambdify printed for fn spliced into
+    each stage, so no stage makes a call. The loop is a function of
     memoryviews of the times and of the flattened states, the initial state
     as a list, the step h and the config."""
+    code = fn.__code__
+    params = code.co_varnames[: code.co_argcount]
+    m = len(params) - 1
+    # lambdify registers the printed function with linecache as a file of its own
+    _, *lines = linecache.getlines(code.co_filename)
+    *temps, result = textwrap.dedent("".join(lines)).splitlines()
+    result = result.removeprefix("return ")
+    used = compile("\n".join((*temps, result)), "<right-hand side>", "exec").co_names
+
+    def spliced(ks, time, args):
+        bound = [f"{a} = {v}" for a, v in zip(params, (time, *args)) if a in used]
+        return "".join(f"{line}\n" for line in (*bound, *temps, f"{', '.join(ks)}, = {result}"))
+
+    def bare(ks, time, args):
+        return f"{', '.join(ks)}, = ()\n"
+
+    namespace = {
+        **fn.__globals__,
+        "SINGULAR_ERRORS": SINGULAR_ERRORS,
+        "STEP_ERRORS": _STEP_ERRORS,
+        "SingularityAbort": SingularityAbort,
+        "IntegrationError": IntegrationError,
+        "isfinite": math.isfinite,
+    }
+    # the loop's own names, read from it with nothing spliced in, are none of
+    # fn's, but for a global that both read as the same object
+    scratch = {}
+    exec(compile(_loop_source(method, m, bare), "<loop names>", "exec"), scratch)
+    own = scratch["loop"].__code__
+    local = {*own.co_varnames, *code.co_varnames}
+    clash = sorted(
+        name
+        for name in {*own.co_varnames, *own.co_names} & {*code.co_varnames, *code.co_names}
+        if name in local or namespace.get(name) is not fn.__globals__.get(name)
+    )
+    if clash:
+        raise RuntimeError(f"the integrator loop and the right-hand side both use the names {clash}")
+    exec(compile(_loop_source(method, m, spliced), f"<hamsym {method} loop>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _loop_source(method: str, m: int, evaluate) -> str:
+    """The source of the loop of `method` over a state of m floats;
+    evaluate(ks, time, args) gives the lines that set the stage values ks
+    from the stage time and the stage state."""
     idx = range(m)
 
     def names(prefix):
         return [f"{prefix}{i}" for i in idx]
 
-    def stage(ks, args):
-        finite = " and ".join(f"isfinite({k})" for k in ks)
-        return _STAGE.format(ks=", ".join(ks), args=", ".join(args), finite=finite)
+    def finite(values):
+        return " and ".join(f"isfinite({v})" for v in values)
 
-    y = names("y")
+    def checked(ks, time, args):
+        evaluation = textwrap.indent(evaluate(ks, "ts", args), "    ")
+        return _CHECKED_STAGE.format(time=time, evaluate=evaluation, finite=finite(ks))
+
+    y, d = names("y"), names("d")
 
     def shifted(scale, ks):
         return [f"{a} + {scale} * {b}" for a, b in zip(y, ks)]
 
     if method == "rk4":
         k1, k2, k3, k4 = (names(f"k{j}_") for j in (1, 2, 3, 4))
-        increment = "".join(
-            (
-                "ts = t\n",
-                stage(k1, y),
-                "ts = t + half\n",
-                stage(k2, shifted("half", k1)),
-                stage(k3, shifted("half", k2)),
-                "ts = t + h\n",
-                stage(k4, shifted("h", k3)),
-                *(f"d{i} = sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})\n" for i in idx),
+
+        def rk4(stage):
+            return "".join(
+                (
+                    stage(k1, "tk", y),
+                    stage(k2, "tk + half", shifted("half", k1)),
+                    stage(k3, "tk + half", shifted("half", k2)),
+                    stage(k4, "tk + h", shifted("h", k3)),
+                    *(f"d{i} = sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})\n" for i in idx),
+                )
             )
+
+        increment = _RK4_STEP.format(
+            fast=textwrap.indent(rk4(evaluate), "    "),
+            finite=finite(d),
+            checked=textwrap.indent(rk4(checked), "    "),
         )
     else:
         # implicit midpoint by fixed-point iteration on the stage value
         ks, nexts = names("k"), names("n")
         iteration = _MIDPOINT_ITERATION.format(
-            stage=textwrap.indent(stage(nexts, shifted("half", ks)), "    "),
+            stage=textwrap.indent(checked(nexts, "tk + half", shifted("half", ks)), "    "),
             deltas=", ".join(f"abs({a} - {b})" for a, b in zip(nexts, ks)),
             ks=", ".join(ks),
             nexts=", ".join(nexts),
         )
-        increment = "".join(
-            ("ts = t + half\n", stage(ks, y), iteration, *(f"d{i} = h * {k}\n" for i, k in zip(idx, ks)))
-        )
+        increment = "".join((checked(ks, "tk + half", y), iteration, *(f"d{i} = h * {k}\n" for i, k in zip(idx, ks))))
     update = "".join(f"d{i} = d{i} - c{i}\nu = y{i} + d{i}\nc{i} = (u - y{i}) - d{i}\ny{i} = u\n" for i in idx)
-    source = _LOOP.format(
+    return _LOOP.format(
         m=m,
         ys=", ".join(y),
         cs=" = ".join(names("c")),
         increment=textwrap.indent(increment, " " * 8),
         update=textwrap.indent(update, " " * 8),
-        state_finite=" and ".join(f"isfinite({a})" for a in y),
+        state_finite=finite(y),
         store="".join(f"        states[row + {i}] = y{i}\n" for i in idx),
     )
-    namespace = {
-        "SINGULAR_ERRORS": SINGULAR_ERRORS,
-        "SingularityAbort": SingularityAbort,
-        "IntegrationError": IntegrationError,
-        "isfinite": math.isfinite,
-    }
-    exec(compile(source, f"<hamsym {method} loop, m={m}>", "exec"), namespace)
-    return namespace["loop"]
 
 
 @dataclass(frozen=True)

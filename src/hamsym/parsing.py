@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,9 +94,16 @@ _BINARY = {"+": (_PREC_ADD, operator.add), "-": (_PREC_ADD, operator.sub), "*": 
            "/": (_PREC_MUL, operator.truediv), "^": (_PREC_ATOM, operator.pow)}
 # at 140 nested sin calls sympy's diff already passes Python's recursion limit
 _MAX_DEPTH = 100
-# Python converts no integer of more digits to or from text, so _fmt could not print it
-_MAX_DIGITS = 4300
+# Python converts no integer of more digits to or from text, so _fmt could not
+# print it: 4,300 by default, or a lower limit set for the interpreter by
+# PYTHONINTMAXSTRDIGITS or -X int_max_str_digits (0 means none: 4,300 stays)
+_MAX_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
 _DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+def _too_long(e: sp.Expr) -> bool:
+    """Whether e is a rational constant with more than _MAX_DIGITS digits."""
+    return e.is_Rational and max(abs(e.p), e.q) >= _DIGITS_BOUND
 
 
 class _Parser:
@@ -156,6 +164,10 @@ class _Parser:
                 if text == "/" and rhs == 0:
                     raise ParseError("division by literal zero", pos)
             out = apply(out, rhs)
+            # refused here, a long product of large constants costs no more
+            # than its first factors; sympy distributes a number over a sum
+            if prec == _PREC_MUL and any(_too_long(term.as_coeff_Mul()[0]) for term in sp.Add.make_args(out)):
+                raise ParseError(f"product with a constant of more than {_MAX_DIGITS} digits", pos)
 
     def atom(self, depth: int) -> sp.Expr:
         kind, text, pos = self.next()
@@ -204,7 +216,7 @@ def parse_expression(text: str, ctx: ParseContext) -> sp.Expr:
     for node in sp.preorder_traversal(e):
         if not isinstance(node, _PRINTABLE):
             raise ParseError(f"input has no written form: {_unprintable(node)}", 0)
-        if node.is_Rational and max(abs(node.p), node.q) >= _DIGITS_BOUND:
+        if _too_long(node):
             raise ParseError(f"input has a constant of more than {_MAX_DIGITS} digits", 0)
     return e
 

@@ -25,6 +25,11 @@ def test_workflow_runs_the_tier1_command():
     # and on input nested past the parser's bound, which must exit 2
     deep = """hamsym verify --example oscillator "$(python -c "print('(' * 300 + 'q1' + ')' * 300)")" && exit 1 || [ $? -eq 2 ]"""
     assert outside + 10 == commands.index(deep)
+    # and on a system whose RK4 step is replayed, checked, and aborts with exit 3
+    sqrt = r"""printf '[system]\nn = 1\nhamiltonian = "p1^2/2 + sqrt(q1)"\n' > "$RUNNER_TEMP/sqrt.txt" """.rstrip()
+    assert outside + 12 == commands.index(sqrt)
+    replay = 'hamsym simulate --file "$RUNNER_TEMP/sqrt.txt" --state 1,-2 --t1 2 --json && exit 1 || [ $? -eq 3 ]'
+    assert outside + 13 == commands.index(replay)
     try:
         import yaml
     except ImportError:

@@ -880,6 +880,27 @@ class TestExitCodes:
         assert code == 2 and out == "" and message in err and "Traceback" not in err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
+    def test_long_product_of_large_constants_exits_2_at_once(self, capsys):
+        # 2^14000 has 4,214 digits, so the product passes the bound at the
+        # first *; multiplying all 2,000 factors first took seconds
+        expression = "*".join(["2^14000"] * 2000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--example", "oscillator", expression)
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "product with a constant of more than 4300 digits (at offset 7)" in err
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+    def test_constant_bound_follows_the_interpreters_digit_limit(self):
+        # with a lower limit on integer text, a constant the formatter could
+        # not print is refused by the parser, never by a ValueError
+        out = _fresh_python(
+            "-m", "hamsym.cli", "verify", "--example", "oscillator", "10^1000*q1",
+            environ={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"},
+        )
+        assert out.returncode == 2 and "Traceback" not in out.stderr
+        assert "constant power of more than 640 digits" in out.stderr
+
     def test_oversized_trajectory_fails_before_the_report(self, capsys):
         # kepler3's symbolic report takes seconds; the size check comes first
         start = time.perf_counter()

@@ -26,7 +26,7 @@ from hamsym.dynamics import (
 )
 from hamsym.expressions import FUNCTIONS, TIME, coord, momentum, sample_point
 from hamsym.noether import canonical_equations, first_integral
-from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError
+from hamsym.systems import FirstIntegral, HamiltonianSystem, HamsymError, SystemDefinition
 
 SEED = 42
 
@@ -194,7 +194,11 @@ class TestIntegrate:
         [pytest.param("example1", [1.0, 0.0], m, id=m) for m in METHODS]
         + [
             pytest.param(name, state0, m, id=f"{name}-{m}")
-            for name, state0 in (("oscillator", [1.0, 0.0]), ("kepler3", [1.0, 0.2, -0.1, 0.1, 1.1, 0.3]))
+            for name, state0 in (
+                ("oscillator", [1.0, 0.0]),
+                ("kepler3", [1.0, 0.2, -0.1, 0.1, 1.1, 0.3]),
+                ("driven", [1.0, 0.2, -0.1, 0.9]),
+            )
             for m in METHODS
         ],
     )
@@ -220,6 +224,11 @@ class TestIntegrate:
             # a free particle pushed past the largest float; the time is the step's start
             (p**2 / 2, [1.79e308, 1e307], "rk4", 1.0, "non-finite state", 0.076),
             (p**2 / 2, [1.79e308, 1e307], "implicit_midpoint", 1.0, "non-finite state", 0.076),
+            # a stage overflows to inf without raising, in the first stage and
+            # in the third: the unchecked step fails its increment test and
+            # the checked replay names that stage
+            (p**2 / 2 + 10**300 * q**3, [1e5, 0.0], "rk4", 1.0, "non-finite value of the canonical equations", 0.0),
+            (p**2 / 2 + 10**300 * q**2 / 2, [1.0, 0.0], "rk4", 1.0, "non-finite value of the canonical equations", 0.0005),
         ],
     )
     def test_abort_message_and_time(self, hamiltonian, state0, method, t1, message, time_reached):
@@ -259,16 +268,36 @@ class TestIntegrate:
             times[which],
         )
 
-    def test_loop_built_once_per_method_and_dimension(self, example1, oscillator, kepler3):
-        _loop.cache_clear()
+    def test_loop_built_once_per_system_and_method(self, example1, oscillator, monkeypatch):
+        compiled = _count_compiles(monkeypatch)
         rk4 = IntegratorConfig(method="rk4", h=1e-2, t1=0.1)
-        integrate(example1.system, [1.0, 0.0], rk4)
-        integrate(oscillator.system, [1.0, 0.0], rk4)
-        assert _loop.cache_info().misses == 1
+        first = integrate(example1.system, [1.0, 0.0], rk4)
+        assert _loop.cache_info().misses == 1 and compiled == [(2, False)]
+        # a second integrate of the same system compiles nothing
+        again = integrate(example1.system, [1.0, 0.0], rk4)
+        assert _loop.cache_info().misses == 1 and compiled == [(2, False)]
+        assert np.array_equal(first.states, again.states)
         integrate(example1.system, [1.0, 0.0], replace(rk4, method="implicit_midpoint"))
-        assert _loop.cache_info().misses == 2
-        integrate(kepler3.system, [1.0, 0, 0, 0, 1.0, 0], rk4)
-        assert _loop.cache_info().misses == 3
+        assert _loop.cache_info().misses == 2 and compiled == [(2, False)]
+        # the same method and dimension, another right-hand side
+        integrate(oscillator.system, [1.0, 0.0], rk4)
+        assert _loop.cache_info().misses == 3 and compiled == [(2, False)] * 2
+
+    def test_loop_refuses_a_name_of_the_right_hand_side(self, kepler3, monkeypatch):
+        # a loop that kept its step time in t would hand the stages its own
+        # time, and the spliced stages would overwrite it
+        template = hamsym.dynamics._LOOP
+        monkeypatch.setattr(hamsym.dynamics, "_LOOP", template.replace("tk = times[step]", "t = times[step]"))
+        with pytest.raises(RuntimeError, match=r"both use the names \['t'\]"):
+            _loop.__wrapped__(_rhs_function(kepler3.system), "rk4")
+
+
+@pytest.fixture(scope="module")
+def driven():
+    """n = 2 with an explicit time dependence inside a cse temporary, so each
+    stage needs its own time and recomputes the spliced temporary."""
+    hamiltonian = (momentum(1) ** 2 + momentum(2) ** 2) / 2 - sp.exp(-TIME / 4) / sp.sqrt(q**2 + coord(2) ** 2 + 1)
+    return SystemDefinition(system=HamiltonianSystem(n=2, hamiltonian=hamiltonian), symmetries=())
 
 
 def _assert_aborts(system, state0, config, message, time_reached):
@@ -471,7 +500,7 @@ class TestImplicitMidpoint:
 
 def _count_compiles(monkeypatch) -> list:
     """(expression count, array) of each compile in `dynamics` from now on,
-    with the right-hand side memo emptied."""
+    with the right-hand side and loop memos emptied."""
     compiled = []
     original = hamsym.dynamics.compile_tuple
 
@@ -481,6 +510,7 @@ def _count_compiles(monkeypatch) -> list:
 
     monkeypatch.setattr(hamsym.dynamics, "compile_tuple", counted)
     _rhs_function.cache_clear()
+    _loop.cache_clear()
     return compiled
 
 

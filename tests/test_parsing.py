@@ -150,10 +150,18 @@ class TestBounds:
             ("(1/3)^-10000", "constant power of more than 4300 digits", 5),
             # sympy multiplies out a power of a rational too: 3^193710244 here
             ("sqrt(3)^(9^9)", "constant power of more than 4300 digits", 7),
-            ("10^4000*10^4000*q1", "input has a constant of more than 4300 digits", 0),
-            ("p1/10^4300", "input has a constant of more than 4300 digits", 0),
+            # a product or quotient is refused at the operator that passes the bound
+            ("10^4000*10^4000*q1", "product with a constant of more than 4300 digits", 7),
+            ("p1/10^4300", "product with a constant of more than 4300 digits", 2),
+            # sympy distributes a number over a sum
+            ("2^14000*(q1 + 1)*2^14000", "product with a constant of more than 4300 digits", 16),
+            # the estimate puts 10^4300 at 4,300 digits; the walk over the result refuses it
+            ("10^4300", "input has a constant of more than 4300 digits", 0),
         ],
-        ids=["5000-digits", "4301-digits", "2^2^2^2^2", "9^9^9", "coefficient", "rational", "root", "product", "denominator"],
+        ids=[
+            "5000-digits", "4301-digits", "2^2^2^2^2", "9^9^9", "coefficient", "rational", "root", "product",
+            "denominator", "distributed", "power",
+        ],
     )
     def test_constants_past_4300_digits_are_refused(self, text, message, offset):
         # Python neither reads nor writes such an integer as text, so the
@@ -166,7 +174,7 @@ class TestBounds:
         # 10^4299 has 4300 digits and prints; 10^4300 has one more
         e = parse_expression("10^4299*q1", CTX1)
         assert parse_expression(format_expression(e), CTX1) == e
-        raw = _Parser(_tokenize("10^4300*q1"), CTX1).parse()
+        raw = sp.Integer(10) ** 4300 * coord(1)
         with pytest.raises(ValueError):
             format_expression(raw)
         with pytest.raises(ParseError, match="constant of more than 4300 digits"):
