@@ -399,7 +399,11 @@ def drift(
                 first = deltas[0]
             deltas -= first
             if modulo is not None:
-                deltas -= modulo * np.round(deltas / modulo)
+                try:
+                    with np.errstate(over="raise"):
+                        deltas -= modulo * np.round(deltas / modulo)
+                except FloatingPointError:
+                    raise HamsymError(f"folding the drift of {integral.name} by modulo {modulo!r} overflows") from None
             # np.maximum keeps a NaN, as one np.max over every row would
             max_abs = np.maximum(max_abs, np.max(np.abs(deltas)))
             if keep_series:

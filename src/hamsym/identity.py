@@ -14,15 +14,13 @@ import sympy as sp
 from .expressions import (
     DEFAULT_TOL,
     Verdict,
-    coord_deriv,
     derive_seed,
     is_zero,
-    momentum,
-    partial_diff,
     random_polynomial,
     state_symbols,
+    to_expr,
 )
-from .noether import lemma1_residual, lemma2_residuals
+from .noether import _algebra, _canonical, lemma1_residual, lemma2_residuals
 from .parsing import format_expression
 from .systems import HamiltonianSystem, HamsymError, PointSymmetry
 
@@ -97,10 +95,9 @@ def random_pair(n: int, degree: int, rng: Random) -> tuple[HamiltonianSystem, Po
 def _corruption(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Twice the zeta_i*(dq_i - dH/dp_i) term: adding this to the residual
     emulates a sign error in that term of the identity."""
-    out = sp.Integer(0)
-    for i, zeta in enumerate(X.zeta, start=1):
-        out += 2 * zeta * (coord_deriv(i) - partial_diff(sys.hamiltonian, momentum(i)))
-    return out
+    lift, H, X = _algebra(sys, X)
+    _, equations = _canonical(sys, lift, H)
+    return to_expr(sum(2 * zeta * r for zeta, (_, _, r) in zip(X.zeta, equations)))
 
 
 def identity_check(

@@ -18,7 +18,6 @@ import sympy as sp
 
 from .expressions import (
     DEFAULT_TOL,
-    TIME,
     SamplingError,
     Verdict,
     algebra_lift,
@@ -106,24 +105,42 @@ def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tu
     return _hamilton_equations(sys.n, sys.hamiltonian)
 
 
+def _jets(n: int, order: int = 1) -> tuple[sp.Symbol, ...]:
+    """The jet symbols of the given order, coordinates first: dq1..dqn, dp1..dpn."""
+    return tuple(maker(i, order) for maker in (coord_deriv, momentum_deriv) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=8)
+def _canonical(sys: HamiltonianSystem, lift, H):
+    """The canonical equations dx = F of sys in the algebra of `lift`, where H
+    is lift(sys.hamiltonian): H's gradient over (t, q1..qn, p1..pn), and
+    (dx, F, dx - F) for each jet dx of `_jets`, lifted. Built once per
+    (system, algebra); every check reads the equations from it."""
+    n = sys.n
+    gradient = tuple(partial_diff(H, z) for z in state_symbols(n))
+    sides = (*gradient[n + 1 :], *(-g for g in gradient[1 : n + 1]))
+    return gradient, tuple((dx, F, dx - F) for dx, F in zip(map(lift, _jets(n)), sides))
+
+
+def _sides(n: int) -> list[tuple[sp.Symbol, sp.Symbol, int]]:
+    """A row (w, dw, sign) per entry of a 2n-tuple, w = p1..pn then q1..qn.
+    Row k pairs with the k-th equation of `_canonical`: p_j with dq_j, with
+    sign 1, and q_j with dp_j, with sign -1."""
+    indices = range(1, n + 1)
+    return [(momentum(j), momentum_deriv(j), 1) for j in indices] + [(coord(j), coord_deriv(j), -1) for j in indices]
+
+
 @lru_cache(maxsize=8)
 def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
     """The canonical equations and their differential consequences as one
     substitution of every jet symbol, in the algebra of `lift`: each
-    first-order jet goes to its canonical right-hand side, the derivative of
-    lift(H), each second-order jet to the total derivative of that side with
-    the first-order jets already substituted. Built once per (system,
-    algebra) and shared read-only by every caller."""
-    qdot, pdot = _hamilton_equations(sys.n, lift(sys.hamiltonian))
-    first = {}
-    for i in range(1, sys.n + 1):
-        first[coord_deriv(i)] = qdot[i - 1]
-        first[momentum_deriv(i)] = pdot[i - 1]
-    values = dict(first)
-    for i in range(1, sys.n + 1):
-        for maker in (coord_deriv, momentum_deriv):
-            values[maker(i, 2)] = substitute_jets(total_derivative(first[maker(i)]), first)
-    return MappingProxyType(values)
+    first-order jet goes to its canonical right-hand side, each second-order
+    jet to the total derivative of that side with the first-order jets
+    already substituted. Built once per (system, algebra), shared read-only."""
+    _, equations = _canonical(sys, lift, lift(sys.hamiltonian))
+    first = {s: F for s, (_, F, _) in zip(_jets(sys.n), equations)}
+    second = (substitute_jets(total_derivative(F), first) for F in first.values())
+    return MappingProxyType({**first, **dict(zip(_jets(sys.n, 2), second))})
 
 
 def on_shell(sys: HamiltonianSystem, e):
@@ -171,14 +188,10 @@ def _algebra(sys: HamiltonianSystem, X: PointSymmetry):
     return lift, H, PointSymmetry(X.name, xi, tuple(rest[:n]), tuple(rest[n : 2 * n]), *rest[2 * n :])
 
 
-def _apply_operator(X: PointSymmetry, f: sp.Expr) -> sp.Expr:
-    """X(f) for f = f(t, q, p), with X's coefficients in the algebra of f.
-    X must come from `_algebra`, which checks its components against the
-    system of f; this does not."""
-    out = X.xi * partial_diff(f, TIME)
-    for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
-        out += eta * partial_diff(f, coord(i)) + zeta * partial_diff(f, momentum(i))
-    return out
+def _apply_operator(X: PointSymmetry, gradient) -> sp.Expr:
+    """X(f) in the algebra of f = f(t, q, p), from f's gradient over
+    (t, q1..qn, p1..pn); X must come from `_algebra`, which checks it."""
+    return sum(c * g for c, g in zip((X.xi, *X.eta, *X.zeta), gradient))
 
 
 @lru_cache(maxsize=8)
@@ -187,7 +200,7 @@ def _residual(sys: HamiltonianSystem, X: PointSymmetry):
     zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), in the algebra of (sys, X).
     Built once per (system, symmetry) and shared by every check that reads it."""
     lift, H, X = _algebra(sys, X)
-    out = -_apply_operator(X, H) - H * total_derivative(X.xi)
+    out = -_apply_operator(X, _canonical(sys, lift, H)[0]) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += zeta * lift(coord_deriv(i)) + lift(momentum(i)) * total_derivative(eta)
     return simplify(out)
@@ -221,7 +234,7 @@ def find_divergence_term(
     residual = _residual(sys, X)
     if residual == 0:
         return "zero", sp.Integer(0)
-    jets = [maker(i) for maker in (coord_deriv, momentum_deriv) for i in range(1, sys.n + 1)]
+    jets = _jets(sys.n)
     a = substitute_jets(residual, dict.fromkeys(jets, 0))
     gradient = [simplify(g) for g in (a, *(partial_diff(residual, jet) for jet in jets))]
     variables = state_symbols(sys.n)
@@ -355,64 +368,49 @@ def variational_derivative_q(e: sp.Expr, j: int) -> sp.Expr:
     return _variational_derivative(e, coord(j), coord_deriv(j))
 
 
-# the two sides of every 2n-tuple, momentum side first
-_SIDES = (("p", variational_derivative_p), ("q", variational_derivative_q))
-
-
 def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Difference of the two sides of the Hamiltonian identity; identically
     zero off-shell for every smooth H and point symmetry."""
     lhs = _residual(sys, X)
     lift, H, X = _algebra(sys, X)
-    rhs = X.xi * (total_derivative(H) - partial_diff(H, TIME))
+    gradient, equations = _canonical(sys, lift, H)
+    rhs = X.xi * (total_derivative(H) - gradient[0])
     boundary = -X.xi * H
-    for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
-        rhs -= eta * (lift(momentum_deriv(i)) + partial_diff(H, coord(i)))
-        rhs += zeta * (lift(coord_deriv(i)) - partial_diff(H, momentum(i)))
-        boundary += lift(momentum(i)) * eta
+    for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta)):
+        rhs += zeta * equations[i][2] - eta * equations[sys.n + i][2]
+        boundary += lift(momentum(i + 1)) * eta
     rhs += total_derivative(boundary)
     return to_expr(simplify(lhs - rhs))
 
 
 def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list:
-    """X applied to the canonical equations, off-shell and in the algebra of
-    (sys, X): D(eta^j) - dq_j*D(xi) - X(dH/dp_j) for j = 1..n, then
-    D(zeta_j) - dp_j*D(xi) + X(dH/dq^j)."""
+    """X applied to each canonical equation dx = F, off-shell and in the
+    algebra of (sys, X): D(c) - dx*D(xi) - X(F), with c = eta^1..eta^n, then
+    zeta_1..zeta_n."""
     lift, H, X = _algebra(sys, X)
     dxi = total_derivative(X.xi)
-    p_side = [
-        total_derivative(X.eta[j - 1]) - lift(coord_deriv(j)) * dxi - _apply_operator(X, partial_diff(H, momentum(j)))
-        for j in range(1, sys.n + 1)
+    return [
+        total_derivative(c) - dx * dxi - _apply_operator(X, [partial_diff(F, z) for z in state_symbols(sys.n)])
+        for c, (dx, F, _) in zip((*X.eta, *X.zeta), _canonical(sys, lift, H)[1])
     ]
-    q_side = [
-        total_derivative(X.zeta[j - 1]) - lift(momentum_deriv(j)) * dxi + _apply_operator(X, partial_diff(H, coord(j)))
-        for j in range(1, sys.n + 1)
-    ]
-    return p_side + q_side
 
 
 def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr, ...]:
-    """Off-shell residuals of the variational-derivative identities,
-    momentum side first (j=1..n), then coordinate side. Each right-hand side
-    is +-(the direct condition) plus multiples of the canonical equations."""
+    """Off-shell residuals of the variational-derivative identities, one per
+    row of `_sides`. Each right-hand side is sign*(the paired direct
+    condition) plus multiples of the canonical equations."""
     n = sys.n
     residual, conditions = _residual(sys, X), _direct_conditions(sys, X)
     lift, H, X = _algebra(sys, X)
+    gradient, equations = _canonical(sys, lift, H)
     dxi = total_derivative(X.xi)
-    commutator = total_derivative(H) - partial_diff(H, TIME)
-    eq_q = [lift(momentum_deriv(i)) + partial_diff(H, coord(i)) for i in range(1, n + 1)]
-    eq_p = [lift(coord_deriv(i)) - partial_diff(H, momentum(i)) for i in range(1, n + 1)]
+    commutator = total_derivative(H) - gradient[0]
     out = []
-    for side, vard in _SIDES:
-        for j in range(1, n + 1):
-            if side == "p":
-                w, rhs = momentum(j), conditions[j - 1] + dxi * eq_p[j - 1]
-            else:
-                w, rhs = coord(j), -conditions[n + j - 1] - dxi * eq_q[j - 1]
-            rhs += partial_diff(X.xi, w) * commutator
-            for i in range(n):
-                rhs += partial_diff(X.zeta[i], w) * eq_p[i] - partial_diff(X.eta[i], w) * eq_q[i]
-            out.append(to_expr(simplify(vard(residual, j) - rhs)))
+    for (w, dw, sign), condition, (_, _, own) in zip(_sides(n), conditions, equations):
+        rhs = sign * (condition + dxi * own) + partial_diff(X.xi, w) * commutator
+        for eta, zeta, (_, _, r_q), (_, _, r_p) in zip(X.eta, X.zeta, equations, equations[n:]):
+            rhs += partial_diff(zeta, w) * r_q - partial_diff(eta, w) * r_p
+        out.append(to_expr(simplify(_variational_derivative(residual, w, dw) - rhs)))
     return tuple(out)
 
 
@@ -420,12 +418,12 @@ def theorem4_conditions(
     sys: HamiltonianSystem, X: PointSymmetry, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> tuple[Verdict, ...]:
     """On-shell verdicts of the 2n variational-derivative conditions that
-    characterize invariance of the canonical equations."""
+    characterize invariance of the canonical equations, one per row of
+    `_sides`."""
     residual = _residual(sys, X)
     return tuple(
-        _zero(sys, on_shell(sys, vard(residual, j)), f"theorem4:{X.name}:{side}{j}", seed, tol)
-        for side, vard in _SIDES
-        for j in range(1, sys.n + 1)
+        _zero(sys, on_shell(sys, _variational_derivative(residual, w, dw)), f"theorem4:{X.name}:{w}", seed, tol)
+        for w, dw, _ in _sides(sys.n)
     )
 
 

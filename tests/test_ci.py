@@ -30,6 +30,9 @@ def test_workflow_runs_the_tier1_command():
     assert outside + 12 == commands.index(sqrt)
     replay = 'hamsym simulate --file "$RUNNER_TEMP/sqrt.txt" --state 1,-2 --t1 2 --json && exit 1 || [ $? -eq 3 ]'
     assert outside + 13 == commands.index(replay)
+    # and on a corrupted identity, which the checker must catch with exit 1
+    corrupt = "hamsym identity-check --n 2 --count 2 --corrupt --json && exit 1 || [ $? -eq 1 ]"
+    assert outside + 15 == commands.index(corrupt)
     try:
         import yaml
     except ImportError:

@@ -16,6 +16,7 @@ import sympy
 
 import hamsym.cli
 import hamsym.dynamics
+import hamsym.expressions
 import hamsym.noether
 from hamsym.cli import main
 from hamsym.identity import identity_check
@@ -658,16 +659,35 @@ def test_check_builds_shared_objects_once(capsys, monkeypatch):
 
     monkeypatch.setattr(hamsym.noether, "canonical_equations", counted)
     # repeated calls hit the memos, so builds are counted as cache misses
-    memos = (hamsym.noether._on_shell_maps, hamsym.noether._residual)
+    memos = (hamsym.noether._canonical, hamsym.noether._on_shell_maps, hamsym.noether._residual)
     for memo in memos:
         memo.cache_clear()
     code, _, _ = run(capsys, "check", "--example", "example1", "--json")
     assert code == 0
-    # one system with three symmetries, all in one jet field; its on-shell
-    # map differentiates H there, so the canonical equations, which only the
-    # integrator and evolutionary_form read, are not built at all
+    # one system with three symmetries, all in one jet field; H is
+    # differentiated there once, and every check reads those equations, so
+    # the canonical equations, which only the integrator and
+    # evolutionary_form read, are not built at all
     assert calls == {}
-    assert [memo.cache_info().misses for memo in memos] == [1, 3]
+    assert [memo.cache_info().misses for memo in memos] == [1, 1, 3]
+
+
+def test_check_kepler3_differentiates_at_most_450_times(capsys, monkeypatch):
+    # H's first partials come from the one record per (system, algebra);
+    # recomputing them in each check made 550 calls
+    calls = Counter()
+    original = hamsym.noether.partial_diff
+
+    def counted(*args, **kwargs):
+        calls["partial_diff"] += 1
+        return original(*args, **kwargs)
+
+    for module in (hamsym.noether, hamsym.expressions):
+        monkeypatch.setattr(module, "partial_diff", counted)
+    for memo in (hamsym.noether._algebra, hamsym.noether._canonical, hamsym.noether._residual, hamsym.noether._on_shell_maps):
+        memo.cache_clear()
+    assert run(capsys, "check", "--example", "kepler3", "--json")[0] == 1  # X1 has no integral by design
+    assert 0 < calls["partial_diff"] <= 450
 
 
 @pytest.mark.parametrize(
@@ -846,12 +866,17 @@ class TestExitCodes:
             (("simulate", "--example", "oscillator", "--state", "1,0", "--h", "1e-320"), "step count"),
             (("simulate", "--example", "oscillator", "--state", "1,0", "--t0=-1e308", "--t1=1e308"), "step count"),
             (("simulate", "--example", "oscillator", "--state", "1,x"), "bad state component"),
+            # each drift / 1e-320 overflows, which printed Infinity into the JSON
+            (
+                ("simulate", "--example", "oscillator", "--state", "1,0", "--t1", "10", "--h", "0.5", "--modulo", "1e-320", "--json"),
+                "folding the drift of X1 by modulo 1e-320 overflows",
+            ),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv, message):
         # an unknown example is covered by TestCheck::test_unknown_example
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and message in err and "Traceback" not in err
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "expression, file_line, message",
