@@ -216,7 +216,13 @@ class _Generators:
     roots: tuple[tuple[int, PolyElement, int, PolyElement], ...]
 
     def lift(self, e):
-        """e in the algebra: a generator Symbol by lookup, anything else by from_expr."""
+        """e in the algebra: an element of this ring as it is, a ring element
+        of another algebra through its Expr, a generator Symbol by lookup,
+        anything else by from_expr."""
+        if isinstance(e, PolyElement):
+            if e.ring == self.algebra:
+                return e
+            e = e.as_expr()
         i = self.index.get(e) if isinstance(e, sp.Symbol) else None
         return self.algebra.from_expr(e) if i is None else self.algebra.gens[i]
 
@@ -255,19 +261,21 @@ def _generator_table(_: int, algebra: PolyRing | FracField) -> _Generators:
     return _Generators(algebra, index, tuple(orders), tuple(rates), tuple(roots))
 
 
-def jet_algebra(n: int, exprs: Sequence[sp.Expr], parameters: tuple[sp.Symbol, ...] = ()):
+def jet_algebra(n: int, exprs: Sequence[sp.Expr | PolyElement], parameters: tuple[sp.Symbol, ...] = ()):
     """(lift, the lifted exprs) in the first exact algebra of dimension n and
     `parameters` that holds every expression of `exprs`, or None when none
     does. That is the jet ring when all are polynomials over QQ in its
     symbols, else the jet field of their radicals when all are rational
     functions over QQ in them and in radicals b^(k/m) of polynomial bases b
     in the state symbols. Floats, other symbols, nested radicals, parameters
-    in a base and trigonometric, exp or log terms have no exact algebra."""
-    exprs = [sp.sympify(e) for e in exprs]
-    if any(e.atoms(sp.Float) for e in exprs):
+    in a base and trigonometric, exp or log terms have no exact algebra. An
+    element of the jet ring is kept as it is in the ring."""
+    exprs = [e if isinstance(e, PolyElement) else sp.sympify(e) for e in exprs]
+    trees = [e for e in exprs if not isinstance(e, PolyElement)]
+    if any(e.atoms(sp.Float) for e in trees):
         return None
     denominators: dict[sp.Expr, set[int]] = {}
-    for e in exprs:
+    for e in trees:
         for node in e.atoms(sp.Pow):
             if node.exp.is_Rational and not node.exp.is_Integer:
                 denominators.setdefault(node.base, set()).add(node.exp.q)
@@ -690,20 +698,24 @@ def is_zero(
 
 
 def random_polynomial(
-    symbols: Sequence[sp.Symbol],
+    generators: Sequence[sp.Symbol] | Sequence[PolyElement],
     degree: int,
     rng: Random,
     terms: int = 6,
-) -> sp.Expr:
-    """Random polynomial with small rational coefficients, for identity testing."""
-    parts = [sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))]
+) -> sp.Expr | PolyElement:
+    """Random polynomial with small rational coefficients, for identity
+    testing, in the arithmetic of `generators`: an Expr over Symbols, a ring
+    element over the generators of a ring. The same rng gives the same
+    polynomial either way."""
+    one = generators[0] ** 0
+    out = one * sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
     for _ in range(terms):
         coeff = sp.Rational(rng.randint(-4, 4), rng.randint(1, 4))
         if coeff == 0:
             continue
         total = rng.randint(0, degree)
-        parts.append(sp.Mul(coeff, *(rng.choice(symbols) for _ in range(total))))
-    return sp.Add(*parts)
+        out += math.prod((rng.choice(generators) for _ in range(total)), start=one) * coeff
+    return out
 
 
 def derive_seed(seed: int, label: str) -> int:

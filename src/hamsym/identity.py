@@ -1,8 +1,9 @@
 """Property checks of the off-shell identities on random polynomial data.
 
-Generates random polynomial Hamiltonians and point symmetries, then tests
-that the Lemma-style residuals vanish identically. A deliberate corruption
-hook exists so the checker itself can be mutation-tested.
+Generates random polynomial Hamiltonians and point symmetries as elements
+of the jet ring, then tests that the Lemma-style residuals vanish
+identically. A deliberate corruption hook exists so the checker itself can
+be mutation-tested.
 """
 from __future__ import annotations
 
@@ -10,17 +11,18 @@ from dataclasses import dataclass
 from random import Random
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .expressions import (
     DEFAULT_TOL,
     Verdict,
     derive_seed,
     is_zero,
+    jet_ring,
     random_polynomial,
-    state_symbols,
     to_expr,
 )
-from .noether import _algebra, _canonical, lemma1_residual, lemma2_residuals
+from .noether import _algebra, _canonical, _residual, lemma1_residual, lemma2_residuals
 from .parsing import format_expression
 from .systems import HamiltonianSystem, HamsymError, PointSymmetry
 
@@ -57,7 +59,7 @@ class IdentityCase:
         )
 
 
-def _quoted(e: sp.Expr) -> str:
+def _quoted(e: PolyElement) -> str:
     """e as a quoted string of a system file."""
     return f'"{format_expression(e)}"'
 
@@ -79,15 +81,16 @@ class IdentityReport:
 
 def random_pair(n: int, degree: int, rng: Random) -> tuple[HamiltonianSystem, PointSymmetry]:
     """A random polynomial Hamiltonian of the given degree and a random
-    point symmetry with polynomial coefficients of degree <= 2."""
-    symbols = state_symbols(n)
+    point symmetry with polynomial coefficients of degree <= 2, drawn as
+    elements of jet_ring(n) over its generators t, q1..qn, p1..pn."""
+    generators = jet_ring(n).gens[: 2 * n + 1]
     coeff_degree = min(degree, 2)
-    sys = HamiltonianSystem(n=n, hamiltonian=random_polynomial(symbols, degree, rng))
+    sys = HamiltonianSystem(n=n, hamiltonian=random_polynomial(generators, degree, rng))
     X = PointSymmetry(
         name="X",
-        xi=random_polynomial(symbols, coeff_degree, rng, terms=3),
-        eta=tuple(random_polynomial(symbols, coeff_degree, rng, terms=3) for _ in range(n)),
-        zeta=tuple(random_polynomial(symbols, coeff_degree, rng, terms=3) for _ in range(n)),
+        xi=random_polynomial(generators, coeff_degree, rng, terms=3),
+        eta=tuple(random_polynomial(generators, coeff_degree, rng, terms=3) for _ in range(n)),
+        zeta=tuple(random_polynomial(generators, coeff_degree, rng, terms=3) for _ in range(n)),
     )
     return sys, X
 
@@ -131,4 +134,7 @@ def identity_check(
             for k, r in enumerate(lemma2_residuals(sys, X))
         )
         cases.append(IdentityCase(index=index, system=sys, symmetry=X, lemma1=lemma1, lemma2=lemma2))
+        # each case is used once: keep no memo record of it
+        for memo in (_algebra, _residual, _canonical):
+            memo.cache_clear()
     return IdentityReport(n=n, degree=degree, count=count, cases=tuple(cases))

@@ -153,13 +153,13 @@ def on_shell(sys: HamiltonianSystem, e):
 
 def _lifted(sys: HamiltonianSystem, exprs):
     """(lift, exprs): `exprs` in the exact jet algebra of sys that holds them
-    all, and the map of an Expr into it; else (sympify, exprs), for Expr.
+    all, and the map of an Expr into it; else (sympify, exprs as Exprs).
     Refuses an expression that its algebra finds undefined everywhere."""
     found = jet_algebra(sys.n, exprs, tuple(map(parameter, sys.parameters)))
     for e, lifted in zip(exprs, () if found is None else found[1]):
         if defined_nowhere(lifted):
             raise HamsymError(f"{format_expression(e)} is undefined everywhere: its denominator is 0 under its radicals")
-    return (sp.sympify, list(exprs)) if found is None else found
+    return (sp.sympify, [to_expr(e) for e in exprs]) if found is None else found
 
 
 def _check_symmetry(sys: HamiltonianSystem, X: PointSymmetry) -> tuple:

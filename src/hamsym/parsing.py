@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
-from .expressions import FUNCTIONS, parameter, symbol_info
+from .expressions import FUNCTIONS, parameter, symbol_info, to_expr
 from .systems import (
     HamiltonianSystem,
     HamsymError,
@@ -229,13 +230,14 @@ _FUNC_NAMES = {cls: name for name, cls in FUNCTIONS.items() if isinstance(cls, t
 _PRINTABLE = (sp.Rational, sp.Symbol, type(sp.E), sp.Add, sp.Mul, sp.Pow, *_FUNC_NAMES)
 
 
-def format_expression(e: sp.Expr) -> str:
-    """Render in DSL syntax so that parse(format(e)) == e structurally.
+def format_expression(e: sp.Expr | PolyElement) -> str:
+    """Render in DSL syntax so that parse(format(e)) == e structurally; an
+    element of a jet ring or field is rendered as its Expr (to_expr).
 
     Fixed choices: negative/rational powers keep exponent form (q1^-3,
     q1^(3/2)); half powers render as sqrt.
     """
-    return _fmt(sp.sympify(e), _PREC_ADD)
+    return _fmt(to_expr(e), _PREC_ADD)
 
 
 def _paren(s: str, needed: bool) -> str:

@@ -5,8 +5,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
-from .expressions import TIME, Verdict, coord, jet_order, momentum, parameter, substitute_jets, symbol_info
+from .expressions import TIME, Verdict, coord, jet_order, jet_ring, momentum, parameter, substitute_jets, symbol_info
 
 __all__ = [
     "HamsymError",
@@ -25,17 +26,24 @@ class HamsymError(Exception):
     precondition or a numeric abort, as opposed to an internal fault."""
 
 
-def check_phase_expression(e: sp.Expr, n: int, what: str, parameters=()) -> None:
+def check_phase_expression(e: sp.Expr | PolyElement, n: int, what: str, parameters=()) -> None:
     """The one rule for an expression over (t, q, p): each of its symbols is
     t, q1..qn, p1..pn or a name in `parameters`, and none is a jet symbol.
     Each must also be the real symbol of its name that hamsym builds: a
-    Symbol("p1") without real=True is a different symbol from p1. Else raises
-    HamsymError naming the expression (jets) or the first stray symbol by
-    name."""
-    e = sp.sympify(e)
+    Symbol("p1") without real=True is a different symbol from p1. A ring
+    element must belong to jet_ring(n, parameters), whose generators are
+    those symbols and the jets. Else raises HamsymError naming the
+    expression (jets), the ring, or the first stray symbol by name."""
+    if isinstance(e, PolyElement):
+        if e.ring != jet_ring(n, tuple(map(parameter, parameters))):
+            raise HamsymError(f"{what} is an element of a ring other than the jet ring of dimension {n}")
+        symbols = ()
+    else:
+        e = sp.sympify(e)
+        symbols = sorted(e.free_symbols, key=lambda s: s.name)
     if jet_order(e) > 0:
         raise HamsymError(f"{what} must not contain jet symbols: {e}")
-    for s in sorted(e.free_symbols, key=lambda s: s.name):
+    for s in symbols:
         info = symbol_info(s)
         if info is None:
             if s.name not in parameters:
@@ -53,10 +61,11 @@ def check_phase_expression(e: sp.Expr, n: int, what: str, parameters=()) -> None
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Dimension, Hamiltonian over (t, q, p) and rational parameter values."""
+    """Dimension, Hamiltonian over (t, q, p) and rational parameter values.
+    The Hamiltonian is an Expr or an element of jet_ring(n, parameters)."""
 
     n: int
-    hamiltonian: sp.Expr
+    hamiltonian: sp.Expr | PolyElement
     # not hashed (a dict is unhashable); equality still compares it
     parameters: Mapping[str, sp.Rational] = field(default_factory=dict, hash=False)
     singularities: tuple[sp.Expr, ...] = ()
@@ -85,7 +94,8 @@ class HamiltonianSystem:
 
 @dataclass(frozen=True)
 class PointSymmetry:
-    """Coefficients of xi*d/dt + eta^i*d/dq^i + zeta_i*d/dp_i on (t, q, p)."""
+    """Coefficients of xi*d/dt + eta^i*d/dq^i + zeta_i*d/dp_i on (t, q, p),
+    each an Expr or, like the Hamiltonian, an element of the jet ring."""
 
     name: str
     xi: sp.Expr

@@ -33,6 +33,9 @@ def test_workflow_runs_the_tier1_command():
     # and on a corrupted identity, which the checker must catch with exit 1
     corrupt = "hamsym identity-check --n 2 --count 2 --corrupt --json && exit 1 || [ $? -eq 1 ]"
     assert outside + 15 == commands.index(corrupt)
+    # and on the benchmark's identity-n3 input, byte for byte against its golden
+    golden = 'hamsym identity-check --n 3 --degree 3 --count 10 --json --seed 1 | cmp - "$GITHUB_WORKSPACE/tests/golden/identity-n3-seed1.json"'
+    assert outside + 17 == commands.index(golden)
     try:
         import yaml
     except ImportError:

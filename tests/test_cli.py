@@ -17,8 +17,10 @@ import sympy
 import hamsym.cli
 import hamsym.dynamics
 import hamsym.expressions
+import hamsym.identity
 import hamsym.noether
 from hamsym.cli import main
+from hamsym.expressions import to_expr
 from hamsym.identity import identity_check
 from hamsym.registry import EXAMPLES
 
@@ -293,7 +295,7 @@ class TestIdentityCheck:
         for case in cases:
             (line,) = [line for line in text.splitlines() if line.startswith(f"case {case.index}:")]
             printed = re.search(r'H = "([^"]*)"', line).group(1)
-            assert parse_expression(printed, ParseContext(n=1)) == case.system.hamiltonian
+            assert parse_expression(printed, ParseContext(n=1)) == to_expr(case.system.hamiltonian)
 
     def test_corrupt_hook_detected_n3(self, capsys):
         code, payload, _ = run_json(
@@ -684,10 +686,13 @@ def test_check_kepler3_differentiates_at_most_450_times(capsys, monkeypatch):
 
     for module in (hamsym.noether, hamsym.expressions):
         monkeypatch.setattr(module, "partial_diff", counted)
-    for memo in (hamsym.noether._algebra, hamsym.noether._canonical, hamsym.noether._residual, hamsym.noether._on_shell_maps):
+    memos = (hamsym.noether._algebra, hamsym.noether._canonical, hamsym.noether._residual, hamsym.noether._on_shell_maps)
+    for memo in memos:
         memo.cache_clear()
     assert run(capsys, "check", "--example", "kepler3", "--json")[0] == 1  # X1 has no integral by design
     assert 0 < calls["partial_diff"] <= 450
+    # one algebra and one residual per symmetry, one record and on-shell map per system
+    assert [memo.cache_info().misses for memo in memos] == [8, 1, 8, 1]
 
 
 @pytest.mark.parametrize(
@@ -838,12 +843,23 @@ def test_failing_divergence_verdict_is_named(capsys, tmp_path):
     )
 
 
-def test_identity_check_builds_one_residual_per_case():
-    # Lemma 1 and Lemma 2 read the same residual
-    residual = hamsym.noether._residual
-    residual.cache_clear()
+def test_identity_check_builds_one_residual_per_case(monkeypatch):
+    # Lemma 1 and Lemma 2 read the same residual, and no case keeps a memo
+    # record once it is done, so the misses are counted within each case
+    memos = (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._canonical)
+    lemma2_residuals, misses = hamsym.identity.lemma2_residuals, []
+
+    def counted(sys, X):
+        out = lemma2_residuals(sys, X)
+        misses.append(tuple(memo.cache_info().misses for memo in memos))
+        return out
+
+    monkeypatch.setattr(hamsym.identity, "lemma2_residuals", counted)
+    for memo in memos:
+        memo.cache_clear()
     identity_check(2, 3, 2)
-    assert residual.cache_info().misses == 2
+    assert misses == [(1, 1, 1)] * 2
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 class TestExitCodes:

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 import sympy as sp
 from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, PolyRing
 
 import hamsym.noether
 from hamsym.expressions import (
@@ -20,15 +20,18 @@ from hamsym.expressions import (
     coord_deriv,
     is_zero,
     jet_order,
+    jet_ring,
     momentum,
     momentum_deriv,
     partial_diff,
+    random_polynomial,
     simplify,
+    state_symbols,
     substitute_jets,
     to_expr,
     total_derivative,
 )
-from hamsym.identity import random_pair
+from hamsym.identity import identity_check, random_pair
 from hamsym.noether import (
     InvarianceError,
     build_report,
@@ -84,6 +87,13 @@ class TestCanonicalEquations:
 def test_system_refuses_a_reserved_parameter_name(name):
     with pytest.raises(HamsymError, match="reserved token"):
         HamiltonianSystem(n=1, hamiltonian=p**2 / 2 + q**2 / 2, parameters={name: sp.Integer(1)})
+
+
+def test_system_refuses_a_hamiltonian_of_another_jet_ring():
+    H = jet_ring(2).gens[1] * jet_ring(2).gens[3]  # q1*p1 in dimension 2
+    assert HamiltonianSystem(n=2, hamiltonian=H).hamiltonian is H
+    with pytest.raises(HamsymError, match="ring other than the jet ring of dimension 3"):
+        HamiltonianSystem(n=3, hamiltonian=H)
 
 
 class TestOnShell:
@@ -325,6 +335,30 @@ class TestLemmas:
         assert all(r == 0 for r in lemma2_residuals(example1.system, X0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_pair_draws_in_the_ring_what_symbols_draw(n):
+    # the same rng calls over the ring's generators and over the Symbols
+    symbols = state_symbols(n)
+    for seed in range(6):
+        for degree in (1, 3):
+            sys_, X = random_pair(n, degree, Random(seed))
+            drawn = (sys_.hamiltonian, X.xi, *X.eta, *X.zeta)
+            assert all(isinstance(e, PolyElement) and e.ring == jet_ring(n) for e in drawn)
+            rng = Random(seed)
+            expected = [random_polynomial(symbols, degree, rng)]
+            expected += [random_polynomial(symbols, min(degree, 2), rng, terms=3) for _ in range(2 * n + 1)]
+            assert [to_expr(e) for e in drawn] == expected
+
+
+def test_identity_check_lifts_no_expression(monkeypatch):
+    # the drawn pairs stay ring elements: nothing goes through from_expr
+    calls = []
+    from_expr = PolyRing.from_expr
+    monkeypatch.setattr(PolyRing, "from_expr", lambda ring, e: calls.append(e) or from_expr(ring, e))
+    assert identity_check(3, 3, 10).passed
+    assert calls == []
+
+
 def _algebra_kind(sys, X):
     """The algebra that the code of (sys, X) computes in."""
     _, H, _ = hamsym.noether._algebra(sys, X)
@@ -361,6 +395,13 @@ def _residual_and_conditions(sys, X):
     return [simplify(invariance_residual(sys, X)), *conditions]
 
 
+def _as_exprs(sys, X):
+    """(sys, X) with H and X's coefficients as Exprs, as a drawn pair's are not."""
+    return replace(sys, hamiltonian=to_expr(sys.hamiltonian)), replace(
+        X, xi=to_expr(X.xi), eta=tuple(map(to_expr, X.eta)), zeta=tuple(map(to_expr, X.zeta))
+    )
+
+
 def _expr_algebra(monkeypatch):
     """Compute every (sys, X) over Expr from here on."""
     _clear_algebra_memos()
@@ -375,7 +416,7 @@ def test_ring_and_expr_algebras_agree(n, monkeypatch):
     assert all(_algebra_kind(sys, X) == "ring" for sys, X in pairs)
     ring = [_residual_and_conditions(sys, X) for sys, X in pairs]
     _expr_algebra(monkeypatch)
-    expr = [_residual_and_conditions(sys, X) for sys, X in pairs]
+    expr = [_residual_and_conditions(*_as_exprs(sys, X)) for sys, X in pairs]
     _clear_algebra_memos()
     assert ring == expr
 
@@ -425,7 +466,8 @@ def test_residual_is_affine_in_the_jets(exact, request, monkeypatch):
     # ring, in the field and over Expr
     defns = [request.getfixturevalue(name) for name in ("example1", "coulomb", "oscillator", "kepler2", "kepler3")]
     pairs = [(defn.system, X) for defn in defns for X in defn.symmetries]
-    pairs += [random_pair(n, 3, Random(n)) for n in (1, 2, 3)]
+    drawn = [random_pair(n, 3, Random(n)) for n in (1, 2, 3)]
+    pairs += drawn if exact else [_as_exprs(*pair) for pair in drawn]
     _clear_algebra_memos()
     if not exact:
         _expr_algebra(monkeypatch)
