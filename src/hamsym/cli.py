@@ -158,19 +158,15 @@ def _symmetry_entry(report) -> dict:
     return entry
 
 
-def _system_report(defn: SystemDefinition, args, names=None):
-    """Per-symmetry reports plus relation verdicts; returns (json dict, the
-    integrals, all-pass flag). The integrals are each symmetry's built
-    FirstIntegral, then one unverified FirstIntegral per relation whose
-    integrals were all built: its expression with them substituted. A
-    symmetry passes exactly when it yields an integral."""
+def _system_report(defn: SystemDefinition, args, symmetries):
+    """Reports of the given symmetries of defn plus relation verdicts;
+    returns (json dict, the integrals, all-pass flag). The integrals are
+    each symmetry's built FirstIntegral, then one unverified FirstIntegral
+    per relation whose integrals were all built: its expression with them
+    substituted. A symmetry passes exactly when it yields an integral."""
     sys_ = defn.system
     out = {**_header(args, sys_), "symmetries": [], "relations": []}
-    selected = [s for s in defn.symmetries if names is None or s.name in names]
-    if names is not None and len(selected) != len(names):
-        missing = sorted(set(names) - {s.name for s in selected})
-        raise HamsymError(f"unknown symmetry {missing[0]!r}")
-    reports = [build_report(sys_, X, seed=args.seed, tol=args.tol) for X in selected]
+    reports = [build_report(sys_, X, seed=args.seed, tol=args.tol) for X in symmetries]
     out["symmetries"] = [_symmetry_entry(report) for report in reports]
     integrals = [r.integral for r in reports if r.integral is not None]
     named = {i.name: i.expression for i in integrals}
@@ -213,8 +209,8 @@ def _describe_symmetry(entry: dict) -> str:
 
 def cmd_check(args) -> int:
     defn = _load(args)
-    names = [args.symmetry] if args.symmetry else None
-    payload, _, ok = _system_report(defn, args, names)
+    symmetries = defn.symmetries if args.symmetry is None else [defn.symmetry(args.symmetry)]
+    payload, _, ok = _system_report(defn, args, symmetries)
     lines = [_describe_symmetry(e) for e in payload["symmetries"]]
     lines += [f"relation {r['name']}: {r['status']}" for r in payload["relations"]]
     _emit(args, payload, lines)
@@ -286,7 +282,7 @@ def cmd_simulate(args) -> int:
         trajectory, abort = integrate(sys_, state0, config), None
     except SingularityAbort as exc:
         trajectory, abort = None, exc
-    payload, integrals, _ = _system_report(defn, args)
+    payload, integrals, _ = _system_report(defn, args, defn.symmetries)
     try:
         if abort is not None:
             raise abort

@@ -98,8 +98,8 @@ def random_pair(n: int, degree: int, rng: Random) -> tuple[HamiltonianSystem, Po
 def _corruption(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     """Twice the zeta_i*(dq_i - dH/dp_i) term: adding this to the residual
     emulates a sign error in that term of the identity."""
-    lift, H, X = _algebra(sys, X)
-    _, equations = _canonical(sys, lift, H)
+    lift, _, X = _algebra(sys, X)
+    _, equations = _canonical(sys, lift)
     return to_expr(sum(2 * zeta * r for zeta, (_, _, r) in zip(X.zeta, equations)))
 
 
@@ -108,7 +108,6 @@ def identity_check(
     degree: int,
     count: int,
     seed: int = 0,
-    points: int = IDENTITY_POINTS,
     tol: float = DEFAULT_TOL,
     corrupt: bool = False,
 ) -> IdentityReport:
@@ -128,9 +127,9 @@ def identity_check(
         residual1 = lemma1_residual(sys, X)
         if corrupt:
             residual1 += _corruption(sys, X)
-        lemma1 = is_zero(residual1, seed=derive_seed(seed, f"lemma1:{index}"), points=points, tol=tol)
+        lemma1 = is_zero(residual1, seed=derive_seed(seed, f"lemma1:{index}"), points=IDENTITY_POINTS, tol=tol)
         lemma2 = tuple(
-            is_zero(r, seed=derive_seed(seed, f"lemma2:{index}:{k}"), points=points, tol=tol)
+            is_zero(r, seed=derive_seed(seed, f"lemma2:{index}:{k}"), points=IDENTITY_POINTS, tol=tol)
             for k, r in enumerate(lemma2_residuals(sys, X))
         )
         cases.append(IdentityCase(index=index, system=sys, symmetry=X, lemma1=lemma1, lemma2=lemma2))

@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 
+RANK_POINTS = 5
+RANK_TOL = 1e-8
+
+
 class InvarianceError(HamsymError):
     """Raised when an integral is requested for a non-invariant Hamiltonian."""
 
@@ -90,36 +94,31 @@ def _zero(sys: HamiltonianSystem, e, label: str, seed: int, tol: float) -> Verdi
     return is_zero(e, sys.bound_singularities, seed=derive_seed(seed, label), tol=tol)
 
 
-def _hamilton_equations(n: int, H):
-    """(dH/dp_i, -dH/dq^i) for i = 1..n, in the algebra of H."""
-    state = state_symbols(n)
-    qs, ps = state[1 : n + 1], state[n + 1 :]
-    return tuple(partial_diff(H, p) for p in ps), tuple(-partial_diff(H, q) for q in qs)
-
-
-@lru_cache(maxsize=8)
-def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tuple[sp.Expr, ...]]:
-    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations as the
-    Exprs that differentiating H gives, uncanonicalized; built once per
-    system for the integrator and evolutionary_form."""
-    return _hamilton_equations(sys.n, sys.hamiltonian)
-
-
 def _jets(n: int, order: int = 1) -> tuple[sp.Symbol, ...]:
     """The jet symbols of the given order, coordinates first: dq1..dqn, dp1..dpn."""
     return tuple(maker(i, order) for maker in (coord_deriv, momentum_deriv) for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=8)
-def _canonical(sys: HamiltonianSystem, lift, H):
-    """The canonical equations dx = F of sys in the algebra of `lift`, where H
-    is lift(sys.hamiltonian): H's gradient over (t, q1..qn, p1..pn), and
+def _canonical(sys: HamiltonianSystem, lift):
+    """The canonical equations dx = F of sys in the algebra of `lift`: the
+    gradient of H = lift(sys.hamiltonian) over (t, q1..qn, p1..pn), and
     (dx, F, dx - F) for each jet dx of `_jets`, lifted. Built once per
-    (system, algebra); every check reads the equations from it."""
-    n = sys.n
+    (system, algebra); the integrator and every check read the equations
+    from it, and nothing else differentiates H for them."""
+    n, H = sys.n, lift(sys.hamiltonian)
     gradient = tuple(partial_diff(H, z) for z in state_symbols(n))
     sides = (*gradient[n + 1 :], *(-g for g in gradient[1 : n + 1]))
     return gradient, tuple((dx, F, dx - F) for dx, F in zip(map(lift, _jets(n)), sides))
+
+
+def canonical_equations(sys: HamiltonianSystem) -> tuple[tuple[sp.Expr, ...], tuple[sp.Expr, ...]]:
+    """Right-hand sides (dH/dp_i, -dH/dq^i) of the canonical equations in
+    the algebra of sys.hamiltonian, read off `_canonical`: for an Expr H the
+    Exprs that differentiating H gives, uncanonicalized. The integrator and
+    evolutionary_form read them."""
+    sides = [F for _, F, _ in _canonical(sys, algebra_lift(sys.hamiltonian))[1]]
+    return tuple(sides[: sys.n]), tuple(sides[sys.n :])
 
 
 def _sides(n: int) -> list[tuple[sp.Symbol, sp.Symbol, int]]:
@@ -137,7 +136,7 @@ def _on_shell_maps(sys: HamiltonianSystem, lift) -> Mapping:
     first-order jet goes to its canonical right-hand side, each second-order
     jet to the total derivative of that side with the first-order jets
     already substituted. Built once per (system, algebra), shared read-only."""
-    _, equations = _canonical(sys, lift, lift(sys.hamiltonian))
+    _, equations = _canonical(sys, lift)
     first = {s: F for s, (_, F, _) in zip(_jets(sys.n), equations)}
     second = (substitute_jets(total_derivative(F), first) for F in first.values())
     return MappingProxyType({**first, **dict(zip(_jets(sys.n, 2), second))})
@@ -200,7 +199,7 @@ def _residual(sys: HamiltonianSystem, X: PointSymmetry):
     zeta_i*dq_i + p_i*D(eta^i) - X(H) - H*D(xi), in the algebra of (sys, X).
     Built once per (system, symmetry) and shared by every check that reads it."""
     lift, H, X = _algebra(sys, X)
-    out = -_apply_operator(X, _canonical(sys, lift, H)[0]) - H * total_derivative(X.xi)
+    out = -_apply_operator(X, _canonical(sys, lift)[0]) - H * total_derivative(X.xi)
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta), start=1):
         out += zeta * lift(coord_deriv(i)) + lift(momentum(i)) * total_derivative(eta)
     return simplify(out)
@@ -334,11 +333,15 @@ def verify_first_integral(
     return _conserved(sys, integral, seed, tol)
 
 
-def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr, name: str = "X_I") -> PointSymmetry:
-    """The phase-space vector field generated by I: eta = dI/dp, zeta = -dI/dq."""
+def hamiltonian_vector_field(sys: HamiltonianSystem, integral: sp.Expr) -> PointSymmetry:
+    """The phase-space vector field X_I generated by I: eta = dI/dp, zeta =
+    -dI/dq, differentiated here and not read off `_canonical`, so that it
+    stays a route to the canonical equations independent of that record."""
     check_phase_expression(integral, sys.n, "generating function", sys.parameters)
-    eta, zeta = _hamilton_equations(sys.n, integral)
-    return PointSymmetry(name, sp.Integer(0), tuple(map(simplify, eta)), tuple(map(simplify, zeta)))
+    state = state_symbols(sys.n)
+    eta = tuple(simplify(partial_diff(integral, p)) for p in state[sys.n + 1 :])
+    zeta = tuple(simplify(-partial_diff(integral, q)) for q in state[1 : sys.n + 1])
+    return PointSymmetry("X_I", sp.Integer(0), eta, zeta)
 
 
 def evolutionary_form(sys: HamiltonianSystem, X: PointSymmetry) -> PointSymmetry:
@@ -373,7 +376,7 @@ def lemma1_residual(sys: HamiltonianSystem, X: PointSymmetry) -> sp.Expr:
     zero off-shell for every smooth H and point symmetry."""
     lhs = _residual(sys, X)
     lift, H, X = _algebra(sys, X)
-    gradient, equations = _canonical(sys, lift, H)
+    gradient, equations = _canonical(sys, lift)
     rhs = X.xi * (total_derivative(H) - gradient[0])
     boundary = -X.xi * H
     for i, (eta, zeta) in enumerate(zip(X.eta, X.zeta)):
@@ -387,11 +390,11 @@ def _direct_conditions(sys: HamiltonianSystem, X: PointSymmetry) -> list:
     """X applied to each canonical equation dx = F, off-shell and in the
     algebra of (sys, X): D(c) - dx*D(xi) - X(F), with c = eta^1..eta^n, then
     zeta_1..zeta_n."""
-    lift, H, X = _algebra(sys, X)
+    lift, _, X = _algebra(sys, X)
     dxi = total_derivative(X.xi)
     return [
         total_derivative(c) - dx * dxi - _apply_operator(X, [partial_diff(F, z) for z in state_symbols(sys.n)])
-        for c, (dx, F, _) in zip((*X.eta, *X.zeta), _canonical(sys, lift, H)[1])
+        for c, (dx, F, _) in zip((*X.eta, *X.zeta), _canonical(sys, lift)[1])
     ]
 
 
@@ -402,7 +405,7 @@ def lemma2_residuals(sys: HamiltonianSystem, X: PointSymmetry) -> tuple[sp.Expr,
     n = sys.n
     residual, conditions = _residual(sys, X), _direct_conditions(sys, X)
     lift, H, X = _algebra(sys, X)
-    gradient, equations = _canonical(sys, lift, H)
+    gradient, equations = _canonical(sys, lift)
     dxi = total_derivative(X.xi)
     commutator = total_derivative(H) - gradient[0]
     out = []
@@ -472,16 +475,10 @@ def relation_check(
     return _zero(sys, e, f"relation:{relation.name}", seed, tol)
 
 
-def functional_independence(
-    integrals: Sequence[FirstIntegral],
-    sys: HamiltonianSystem,
-    seed: int = 0,
-    points: int = 5,
-    tol: float = 1e-8,
-) -> int:
+def functional_independence(integrals: Sequence[FirstIntegral], sys: HamiltonianSystem, seed: int = 0) -> int:
     """Maximum observed rank of the Jacobian of the integrals with respect
-    to (q, p) at random non-singular points; singular values at or below
-    tol * max(1, largest |entry|) count as zero."""
+    to (q, p) at RANK_POINTS random non-singular points; singular values at
+    or below RANK_TOL * max(1, largest |entry|) count as zero."""
     import numpy as np
 
     if not integrals:
@@ -492,9 +489,9 @@ def functional_independence(
     jacobian = [partial_diff(sys.bind(integral.expression), z) for integral in integrals for z in state[1:]]
     draws = draw_samples(state, jacobian, Random(derive_seed(seed, "independence")), sys.bound_singularities)
     ranks = []
-    for _, values in islice(draws, points):
+    for _, values in islice(draws, RANK_POINTS):
         rows = np.array(values, dtype=float).reshape(len(integrals), -1)
-        threshold = tol * max(1.0, float(np.abs(rows).max()))
+        threshold = RANK_TOL * max(1.0, float(np.abs(rows).max()))
         ranks.append(int(np.linalg.matrix_rank(rows, tol=threshold)))
     if not ranks:
         raise SamplingError("could not sample any non-singular point for the Jacobian")

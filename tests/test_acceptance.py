@@ -152,7 +152,7 @@ def test_criterion_4_kepler2_restriction(kepler2):
 def test_criterion_5_identity_property_suite():
     start = time.perf_counter()
     for n in (1, 2, 3):
-        report = identity_check(n, degree=3, count=10, seed=SEED, points=100, tol=TOL)
+        report = identity_check(n, degree=3, count=10, seed=SEED, tol=TOL)
         assert report.passed, report.failures()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"

@@ -36,6 +36,13 @@ def test_workflow_runs_the_tier1_command():
     # and on the benchmark's identity-n3 input, byte for byte against its golden
     golden = 'hamsym identity-check --n 3 --degree 3 --count 10 --json --seed 1 | cmp - "$GITHUB_WORKSPACE/tests/golden/identity-n3-seed1.json"'
     assert outside + 17 == commands.index(golden)
+    # and on the integrator, which reads the canonical equations' record, bit for bit against its golden
+    simulate = (
+        "hamsym simulate --example kepler3 --state 1,0.2,-0.1,0.1,1.1,0.3 --method rk4 --h 0.01 --t1 1 --seed 42"
+        ' --csv "$RUNNER_TEMP/kepler3.csv" > /dev/null'
+        ' && cmp "$RUNNER_TEMP/kepler3.csv" "$GITHUB_WORKSPACE/tests/golden/trajectory-kepler3-rk4.csv"'
+    )
+    assert outside + 19 == commands.index(simulate)
     try:
         import yaml
     except ImportError:

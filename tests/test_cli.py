@@ -19,6 +19,7 @@ import hamsym.dynamics
 import hamsym.expressions
 import hamsym.identity
 import hamsym.noether
+import hamsym.parsing
 from hamsym.cli import main
 from hamsym.expressions import to_expr
 from hamsym.identity import identity_check
@@ -99,8 +100,10 @@ class TestCheck:
         ]
 
     def test_unknown_symmetry(self, capsys):
-        code, _, err = run(capsys, "check", "--example", "example1", "--symmetry", "nope")
-        assert code == 2 and "unknown symmetry" in err
+        # an empty name selects nothing either: it is not "every symmetry"
+        for name in ("nope", ""):
+            code, _, err = run(capsys, "check", "--example", "example1", "--symmetry", name)
+            assert code == 2 and f"no symmetry named {name!r}" in err
 
     def test_byte_identical_reports(self, capsys):
         _, first, _ = run(capsys, "check", "--example", "example1", "--seed", "7", "--json")
@@ -727,7 +730,7 @@ def test_check_builds_integrals_without_expr_canonicalization(capsys, monkeypatc
     for name in ("together", "cancel"):
         monkeypatch.setattr(sympy, name, counting(name))
     memos = (hamsym.noether._algebra, hamsym.noether._residual, hamsym.noether._on_shell_maps)
-    for memo in (*memos, hamsym.noether.canonical_equations):
+    for memo in (*memos, hamsym.noether._canonical):
         memo.cache_clear()
     assert run(capsys, *argv, "--json")[0] == code  # coulomb's X2 and kepler3's X1 fail by design
     assert calls == {}
@@ -767,13 +770,33 @@ def test_parameter_values_are_bound_to_decide(capsys, tmp_path, source, expressi
 
 
 def test_simulate_builds_canonical_equations_once(capsys):
-    # the integrator's right-hand side builds them once per system; the report's
-    # on-shell maps differentiate H in their own algebra
-    memo = hamsym.noether.canonical_equations
+    # once per algebra: the integrator reads the Expr record, and the report
+    # the record of example1's jet field
+    memo = hamsym.noether._canonical
     for cache in (memo, hamsym.noether._on_shell_maps, hamsym.dynamics._rhs_function):
         cache.cache_clear()
     code, _, _ = run(capsys, "simulate", "--example", "example1", "--state", "1,0", "--h", "0.01", "--json")
-    assert code == 0 and memo.cache_info().misses == 1
+    assert code == 0 and memo.cache_info().misses == 2
+
+
+def test_simulate_on_expr_differentiates_h_once(capsys, monkeypatch, tmp_path):
+    # cos(q1) has no exact algebra, so the integrator and the report share
+    # the one Expr record of the canonical equations
+    path = tmp_path / "pendulum.txt"
+    path.write_text(PENDULUM)
+    H = hamsym.parsing.parse_system_file(PENDULUM).system.hamiltonian
+    calls = Counter()
+    original = hamsym.noether.partial_diff
+
+    def counted(e, s):
+        calls[e == H, s] += 1
+        return original(e, s)
+
+    monkeypatch.setattr(hamsym.noether, "partial_diff", counted)
+    for memo in (hamsym.noether._canonical, hamsym.noether._on_shell_maps, hamsym.dynamics._rhs_function):
+        memo.cache_clear()
+    assert run(capsys, "simulate", "--file", str(path), "--state", "1,0", "--t1", "1", "--json")[0] == 0
+    assert calls[True, hamsym.expressions.momentum(1)] == 1
 
 
 def test_simulate_is_one_pass(capsys, monkeypatch):

@@ -20,13 +20,16 @@ from hamsym.registry import load_example
 SEED = 42
 R = sp.Rational
 
-# A per bundled system; kepler2's is the rotation with cosine 3/5 and sine 4/5
-MAPS = {
-    "example1": [[R(3, 2)]],
-    "kepler2": [[R(3, 5), R(-4, 5)], [R(4, 5), R(3, 5)]],
-    "kepler3": [[1, R(1, 2), 0], [0, 1, 0], [0, 0, 2]],
-    "coulomb": [[-2]],
-}
+# (bundled system, A): kepler2 under the rotation with cosine 3/5 and sine
+# 4/5, and under a shear, which turns the radical's base q1^2 + q2^2 into
+# another quadratic form
+MAPS = [
+    pytest.param("example1", [[R(3, 2)]], id="example1"),
+    pytest.param("kepler2", [[R(3, 5), R(-4, 5)], [R(4, 5), R(3, 5)]], id="kepler2-rotation"),
+    pytest.param("kepler2", [[1, R(1, 2)], [0, 1]], id="kepler2-shear"),
+    pytest.param("kepler3", [[1, R(1, 2), 0], [0, 1, 0], [0, 0, 2]], id="kepler3"),
+    pytest.param("coulomb", [[-2]], id="coulomb"),
+]
 
 ZERO = ("proven-zero", "numerically-zero")
 
@@ -93,10 +96,10 @@ def _transformed_file(defn, A) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("example", sorted(MAPS))
-def test_linear_canonical_map_keeps_verdicts_and_moves_integrals(example):
+@pytest.mark.parametrize("example, matrix", MAPS)
+def test_linear_canonical_map_keeps_verdicts_and_moves_integrals(example, matrix):
     defn = load_example(example)
-    A = sp.Matrix(MAPS[example])
+    A = sp.Matrix(matrix)
     moved = parse_system_file(_transformed_file(defn, A))
     sys, pull = moved.system, _pull_back(A, defn.system.n)
     assert [X.name for X in moved.symmetries] == [X.name for X in defn.symmetries]
